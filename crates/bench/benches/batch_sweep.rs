@@ -1,18 +1,14 @@
-//! Criterion bench: the batch fast path vs the staged per-point path
-//! on the Table 2 × grid-region space, plus a recorded million-point
-//! sweep (the scale the ROADMAP's registry/fleet items will generate).
+//! Criterion bench: the non-materializing ranking API on the Table 2
+//! × grid-region space, plus a recorded million-point sweep (the scale
+//! the ROADMAP's registry/fleet items will generate).
 //!
-//! Three batch regimes over the same 99-design × 8-configuration space
-//! `staged_sweep.rs` records, plus the million-point one-shot:
+//! The cold and warm materialized regimes of the same 99-design ×
+//! 8-configuration space are `staged-cold` / `staged-warm` in
+//! `staged_sweep.rs` (one engine serves both). This file adds:
 //!
-//! * `batch-cold` — fresh executor, full space: the batch path's cold
-//!   cost (same work as `staged-cold`, minus per-point overhead).
-//! * `batch-warm-materialized` — warm columns, entries cloned out per
-//!   configuration (the `SweepResult` API sessions use).
 //! * `batch-warm-ranking` — warm columns, reused [`BatchRanking`]
-//!   buffer: the zero-allocation inner loop. This is the number the
-//!   ≥10x-vs-staged-warm claim (and the `batch_warm_vs_staged`
-//!   perf_guard floor) is about.
+//!   buffer: the zero-allocation inner loop (the `batch_warm_vs_staged`
+//!   perf_guard floor compares it with warm materialized sweeps).
 //! * `million-point-sweep` — one-shot: the Table 2 designs re-priced
 //!   across enough (grid, lifetime) configurations to exceed 10⁶
 //!   point evaluations, embodied chain computed exactly once per
@@ -71,34 +67,10 @@ fn bench_batch_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batch_sweep");
 
-    group.bench_function("batch-cold", |b| {
-        b.iter(|| {
-            let executor = SweepExecutor::serial();
-            for (model, workload) in &space {
-                black_box(
-                    executor
-                        .execute_batched(black_box(model), black_box(&plan), black_box(workload))
-                        .unwrap(),
-                );
-            }
-        });
-    });
-
     let warm = SweepExecutor::serial();
     for (model, workload) in &space {
-        warm.execute_batched(model, &plan, workload).expect("warms");
+        warm.execute(model, &plan, workload).expect("warms");
     }
-    group.bench_function("batch-warm-materialized", |b| {
-        b.iter(|| {
-            for (model, workload) in &space {
-                black_box(
-                    warm.execute_batched(black_box(model), black_box(&plan), black_box(workload))
-                        .unwrap(),
-                );
-            }
-        });
-    });
-
     let mut ranking = BatchRanking::new();
     group.bench_function("batch-warm-ranking", |b| {
         b.iter(|| {

@@ -21,7 +21,8 @@
 //!   configuration and reused by the remaining seven.
 //! * `staged-warm` — the persistent executor with every artifact
 //!   already cached (the interactive re-ranking regime): all eight
-//!   configurations answer both artifact heads from the store.
+//!   configurations answer both artifact heads from the plan's stage
+//!   columns, and entries are cloned out per configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

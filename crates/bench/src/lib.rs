@@ -270,9 +270,9 @@ pub mod pareto_space {
 
     /// The reuse comparator: `evaluations` uniform lifetime samples,
     /// each on a **fresh** executor (the fresh-process-per-scenario
-    /// behaviour), returning the summed per-stage counters. Its warm
-    /// hit rate is the denominator of the `perf_guard` reuse multiple
-    /// and of the assertion at the end of `benches/explore.rs`.
+    /// behaviour), returning the summed per-stage counters. Its stage
+    /// executions (misses) are the numerator of the `perf_guard` reuse
+    /// multiple and of the assertion at the end of `benches/explore.rs`.
     ///
     /// # Panics
     ///

@@ -4,10 +4,10 @@ use super::request::{EvalRequest, EvalResponse};
 use crate::error::ModelError;
 use crate::model::CarbonModel;
 use crate::sensitivity::sensitivity_report;
-use crate::sweep::cache::{EvalCache, PipelineStats, PipelineTally};
+use crate::sweep::cache::{DesignKey, EvalCache, PipelineStats, PipelineTally};
 use crate::sweep::SweepExecutor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Reuse accounting of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -190,10 +190,14 @@ impl ScenarioSession {
             } => {
                 let model = CarbonModel::new(context.clone());
                 let tally = PipelineTally::default();
+                // One key per request, shared by every stage entry.
+                let key = Arc::new(DesignKey::new(design));
                 let response = match workload {
                     Some(workload) => {
                         let tags = EvalCache::stage_tags(&model, Some(workload));
-                        match cache.lifecycle_or_eval(&tags, &model, design, workload, &tally)? {
+                        match cache
+                            .lifecycle_or_eval(&tags, &model, design, &key, workload, &tally)?
+                        {
                             (Some(report), _) => EvalResponse::Lifecycle(report),
                             // Oversized: a sweep would drop the point,
                             // but `run` must surface exactly the error
@@ -205,7 +209,7 @@ impl ScenarioSession {
                     }
                     None => {
                         let tags = EvalCache::stage_tags(&model, None);
-                        match cache.embodied_or_eval(&tags, &model, design, &tally)? {
+                        match cache.embodied_or_eval(&tags, &model, design, &key, &tally)? {
                             Some(breakdown) => EvalResponse::Embodied((*breakdown).clone()),
                             None => EvalResponse::Embodied(model.embodied(design)?),
                         }
@@ -219,12 +223,10 @@ impl ScenarioSession {
                 workload,
             } => {
                 let model = CarbonModel::new(context.clone());
-                // Sessions take the batch fast path: repeat sweeps of a
-                // resident plan shape delta-eval from stage columns,
-                // while column misses still consult the shared keyed
-                // cache — so responses and per-stage accounting stay
-                // equivalent to the per-point path.
-                let result = self.executor.execute_batched(&model, plan, workload)?;
+                // Repeat sweeps of a resident plan shape delta-eval
+                // from stage columns, while column misses consult the
+                // shared keyed cache.
+                let result = self.executor.execute(&model, plan, workload)?;
                 let stages = result.stats().stages;
                 (EvalResponse::Sweep(result), stages)
             }

@@ -1,29 +1,27 @@
-//! The batch-evaluation fast path: a [`SweepPlan`] lowered into
-//! structure-of-arrays form ([`PlanState`]) so sweeps run as columnar
-//! kernels instead of per-point struct plumbing.
+//! The sweep engine behind [`SweepExecutor::execute`]: a
+//! [`SweepPlan`] lowered into structure-of-arrays form ([`PlanState`])
+//! so sweeps run as columnar kernels instead of per-point struct
+//! plumbing.
 //!
-//! The staged per-point path ([`SweepExecutor::execute`]) rediscovers
-//! every reusable artifact through five keyed [`EvalCache`] lookups
-//! per point — hashing the canonical design key, taking a mutex, and
-//! probing a map, per stage, per point, even when nothing changed. The
-//! batch path instead keeps the plan's artifacts in *stage columns*:
-//! one slot vector per pipeline stage, aligned with the plan's point
-//! indices, tagged with the stage's input-slice fingerprint. A
-//! re-execution compares five tags (computed once per call, not per
-//! point) and then **delta-evaluates**: stages whose context slice is
-//! structurally unchanged are answered by indexed column loads — no
-//! key building, no hashing, no locks — and only the stages whose tag
-//! changed walk their points again.
+//! The engine keeps the plan's artifacts in *stage columns*: one slot
+//! vector per pipeline stage, aligned with the plan's point indices,
+//! tagged with the stage's input-slice fingerprint. A re-execution
+//! compares five tags (computed once per call, not per point) and then
+//! **delta-evaluates**: stages whose context slice is structurally
+//! unchanged are answered by indexed column loads — no hashing, no
+//! locks — and only the stages whose tag changed walk their points
+//! again.
 //!
-//! The two layers compose rather than compete:
+//! Two layers compose:
 //!
 //! * **columns** are the within-plan structural layer — the fast path
 //!   for re-ranking the plan under new downstream axes;
-//! * the shared [`EvalCache`] remains the cross-plan warmth layer —
-//!   every column miss consults *and populates* the keyed store
-//!   exactly like the per-point path, so switching plans (or mixing
-//!   `run`/`sweep` requests in a session) reuses artifacts across plan
-//!   shapes, and the reported per-stage statistics stay comparable.
+//! * the shared [`EvalCache`] is the cross-plan warmth layer — every
+//!   column miss consults *and populates* the keyed store under the
+//!   point's [`DesignKey`](super::DesignKey) (built once per plan
+//!   point and memoized on the plan), so switching plans (or mixing
+//!   `run`/`sweep`/`explore` requests in a session) reuses artifacts
+//!   across plan shapes.
 //!
 //! A fully warm call — every head column tagged for the current
 //! configuration and complete — skips the point loop entirely: it
@@ -34,16 +32,16 @@
 //! workers ([`chunk_size`] indices per steal), so parallel fills pay
 //! synchronization once per chunk instead of once per point.
 //!
-//! Output is byte-identical to the per-point path for any worker
-//! count: totals are computed by the same floating-point expression
-//! ([`pipeline::lifecycle_total`]) and ranked by the same (total, plan
-//! index) order.
+//! Output equals a per-point [`CarbonModel::lifecycle`] evaluation bit
+//! for bit, for any worker count: totals are computed by the same
+//! floating-point expression ([`pipeline::lifecycle_total`]) and ranked
+//! by (total, plan index).
 
 use super::cache::{
-    EmbodiedOutcome, EvalCache, PipelineStats, PipelineTally, PointLookup, StageCounters,
-    StageTags, Stamp,
+    DesignKey, EmbodiedOutcome, EvalCache, PipelineStats, PipelineTally, PointLookup,
+    StageCounters, StageTags, Stamp,
 };
-use super::executor::{chunk_size, SweepExecutor, SweepStats};
+use super::executor::{SweepExecutor, SweepStats};
 use super::plan::{SweepPlan, SweepPoint};
 use super::SweepEntry;
 use crate::design::ChipDesign;
@@ -51,7 +49,6 @@ use crate::error::ModelError;
 use crate::model::{CarbonModel, LifecycleReport};
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline::{self, PhysicalProfile, PowerProfile};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// One ranked point of a batch evaluation: the plan index and the
@@ -98,10 +95,10 @@ impl BatchRanking {
     }
 }
 
-/// The executor-resident batch state: stage columns of the most
-/// recently batch-executed plan plus the memoized stage tags of the
-/// most recent configuration, behind one lock (batch calls on a shared
-/// executor serialize; the per-point path is untouched).
+/// The executor-resident engine state: stage columns of the most
+/// recently executed plan plus the memoized stage tags of recent
+/// configurations, behind one lock (calls on a shared executor
+/// serialize).
 #[derive(Debug, Default)]
 pub(crate) struct BatchEngine {
     state: Mutex<EngineState>,
@@ -170,17 +167,12 @@ impl EngineState {
     }
 }
 
-/// (point count, two independently-salted design-sequence hashes):
-/// identifies the design sequence of a plan. Labels are deliberately
-/// excluded — artifacts depend only on designs, and materialization
-/// reads labels from the plan being executed.
-type PlanFingerprint = (usize, u64, u64);
-
 /// Structure-of-arrays form of one plan: per-stage slot columns
 /// aligned with point indices.
 #[derive(Debug)]
 struct PlanState {
-    fingerprint: PlanFingerprint,
+    /// The plan's point keys: its identity (see [`PlanState::holds`]).
+    keys: Arc<[Arc<DesignKey>]>,
     phys: StageColumns<Arc<PhysicalProfile>>,
     emb: StageColumns<EmbodiedOutcome>,
     power: StageColumns<Arc<PowerProfile>>,
@@ -189,15 +181,23 @@ struct PlanState {
 }
 
 impl PlanState {
-    fn new(fingerprint: PlanFingerprint) -> Self {
+    fn new(keys: Arc<[Arc<DesignKey>]>) -> Self {
         Self {
-            fingerprint,
+            keys,
             phys: StageColumns::default(),
             emb: StageColumns::default(),
             power: StageColumns::default(),
             op: StageColumns::default(),
             totals: StageColumns::default(),
         }
+    }
+
+    /// Whether these columns belong to a plan with exactly `keys`'
+    /// design sequence. The same plan (or a clone) shares the keys and
+    /// answers by pointer; a rebuilt plan compares key by key, and a
+    /// different plan usually fails on its first key.
+    fn holds(&self, keys: &Arc<[Arc<DesignKey>]>) -> bool {
+        Arc::ptr_eq(&self.keys, keys) || *self.keys == **keys
     }
 }
 
@@ -269,115 +269,6 @@ fn columns_limit(cap: usize, len: usize) -> usize {
     (cap / len.max(1)).max(1)
 }
 
-/// A fast multiply-rotate 64-bit hasher for plan fingerprints. The
-/// fingerprint is recomputed on *every* batch call (it is how a call
-/// recognizes its resident plan), so std's SipHash would put tens of
-/// microseconds on the warm fast path; this folds a design sequence in
-/// a few nanoseconds per field. Not collision-resistant on its own —
-/// which is why a fingerprint carries two of these with independent
-/// seeds and multipliers, plus the point count.
-struct FpHasher {
-    state: u64,
-    mult: u64,
-}
-
-impl FpHasher {
-    fn new(seed: u64, mult: u64) -> Self {
-        Self { state: seed, mult }
-    }
-}
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-        self.write_u64(bytes.len() as u64);
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(self.mult);
-    }
-}
-
-/// Hashes the `Option<f64>` fields of a die by raw bit pattern
-/// (mirrors [`EvalCache::key_for`]'s injective encoding, without the
-/// string).
-fn hash_bits<H: Hasher>(h: &mut H, value: Option<f64>) {
-    match value {
-        None => h.write_u8(0),
-        Some(v) => {
-            h.write_u8(1);
-            h.write_u64(v.to_bits());
-        }
-    }
-}
-
-/// Hashes the canonical form of a design — the same fields
-/// [`EvalCache::key_for`] encodes — without allocating.
-fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
-    match design {
-        ChipDesign::Monolithic2d { .. } => h.write_u8(1),
-        ChipDesign::Stack3d {
-            tech,
-            orientation,
-            flow,
-            ..
-        } => {
-            h.write_u8(2);
-            tech.hash(h);
-            orientation.hash(h);
-            flow.hash(h);
-        }
-        ChipDesign::Assembly25d { tech, .. } => {
-            h.write_u8(3);
-            tech.hash(h);
-        }
-    }
-    for die in design.dies() {
-        die.name().hash(h);
-        die.node().hash(h);
-        hash_bits(h, die.gate_count());
-        hash_bits(h, die.area_override().map(|a| a.mm2()));
-        hash_bits(h, die.beol_override().map(f64::from));
-        hash_bits(h, die.efficiency().map(|e| e.tops_per_watt()));
-        hash_bits(h, die.compute_share());
-        match die.rent() {
-            None => h.write_u8(0),
-            Some(r) => {
-                h.write_u8(1);
-                hash_bits(h, Some(r.exponent()));
-                hash_bits(h, Some(r.terminals_per_gate()));
-                hash_bits(h, Some(r.fanout()));
-                hash_bits(h, Some(r.external_exponent()));
-            }
-        }
-    }
-}
-
-/// Fingerprints a plan's design sequence: point count plus two
-/// differently-salted 64-bit hashes (a 2⁻¹²⁸-grade identity, computed
-/// without allocating).
-pub(crate) fn compute_plan_fingerprint(plan: &SweepPlan) -> PlanFingerprint {
-    let mut h1 = FpHasher::new(0x243f_6a88_85a3_08d3, 0x9e37_79b9_7f4a_7c15);
-    let mut h2 = FpHasher::new(0x1319_8a2e_0370_7344, 0xc2b2_ae3d_27d4_eb4f);
-    for design in plan.designs() {
-        hash_design(design, &mut h1);
-        hash_design(design, &mut h2);
-    }
-    (plan.len(), h1.finish(), h2.finish())
-}
-
 /// Everything a fill worker reads, shared immutably across threads.
 struct FillCtx<'a> {
     cache: &'a EvalCache,
@@ -386,7 +277,6 @@ struct FillCtx<'a> {
     workload: &'a Workload,
     /// The (epoch, client) this fill runs under.
     stamp: Stamp,
-    cap: usize,
     /// Each stage column's last-written stamp, for attributing column
     /// hits exactly like keyed-cache hits.
     phys_col: Stamp,
@@ -424,8 +314,8 @@ struct FillOut {
     wrote_emb: bool,
     wrote_power: bool,
     wrote_op: bool,
-    /// Lowest-indexed genuine model error, matching the per-point
-    /// path's deterministic error selection.
+    /// Lowest-indexed genuine model error: the reported error does not
+    /// depend on the worker count.
     error: Option<(usize, ModelError)>,
 }
 
@@ -448,11 +338,8 @@ impl FillOut {
     }
 }
 
-/// One contiguous stolen range: the points plus every column's
-/// matching slot sub-slice.
-struct ChunkTask<'a> {
-    start: usize,
-    points: &'a [SweepPoint],
+/// The plan's stage columns, as parallel slot slices.
+struct Columns<'a> {
     phys: &'a mut [Option<Arc<PhysicalProfile>>],
     emb: &'a mut [Option<EmbodiedOutcome>],
     power: &'a mut [Option<Arc<PowerProfile>>],
@@ -460,10 +347,52 @@ struct ChunkTask<'a> {
     totals: &'a mut [Option<f64>],
 }
 
+/// One point's slot in every stage column.
+struct Slots<'a> {
+    phys: &'a mut Option<Arc<PhysicalProfile>>,
+    emb: &'a mut Option<EmbodiedOutcome>,
+    power: &'a mut Option<Arc<PowerProfile>>,
+    op: &'a mut Option<Arc<OperationalReport>>,
+    total: &'a mut Option<f64>,
+}
+
+impl<'a> Columns<'a> {
+    fn slots(&mut self, i: usize) -> Slots<'_> {
+        Slots {
+            phys: &mut self.phys[i],
+            emb: &mut self.emb[i],
+            power: &mut self.power[i],
+            op: &mut self.op[i],
+            total: &mut self.totals[i],
+        }
+    }
+
+    /// Splits the columns into aligned runs of `chunk` points.
+    fn chunks(self, chunk: usize) -> Vec<Columns<'a>> {
+        let mut out = Vec::new();
+        let zipped = self
+            .phys
+            .chunks_mut(chunk)
+            .zip(self.emb.chunks_mut(chunk))
+            .zip(self.power.chunks_mut(chunk))
+            .zip(self.op.chunks_mut(chunk))
+            .zip(self.totals.chunks_mut(chunk));
+        for ((((phys, emb), power), op), totals) in zipped {
+            out.push(Columns {
+                phys,
+                emb,
+                power,
+                op,
+                totals,
+            });
+        }
+        out
+    }
+}
+
 /// Resolves the physical profile for one point at most once: first
 /// the per-point memo, then the plan column (a structural hit), then
-/// the keyed cache (which computes on miss) — mirroring the per-point
-/// path's fetch-once discipline so stage counters stay comparable.
+/// the keyed cache (which computes on miss).
 fn resolve_phys(
     ctx: &FillCtx<'_>,
     point: &PointLookup<'_>,
@@ -494,158 +423,84 @@ fn resolve_phys(
 /// artifact head) and writes its life-cycle total. Returns the
 /// every-stage-hit flag and whether the point ranked (false =
 /// oversized drop).
-#[allow(clippy::too_many_arguments)]
 fn eval_slots(
     ctx: &FillCtx<'_>,
     design: &ChipDesign,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
-    emb_slot: &mut Option<EmbodiedOutcome>,
-    power_slot: &mut Option<Arc<PowerProfile>>,
-    op_slot: &mut Option<Arc<OperationalReport>>,
-    total_slot: &mut Option<f64>,
+    key: &Arc<DesignKey>,
+    slots: Slots<'_>,
     out: &mut FillOut,
 ) -> Result<(bool, bool), ModelError> {
-    let (cache, tags, stamp) = (ctx.cache, ctx.tags, ctx.stamp);
+    let (cache, stamp) = (ctx.cache, ctx.stamp);
+    let point = PointLookup {
+        tags: ctx.tags,
+        model: ctx.model,
+        design,
+        design_key: key,
+        stamp,
+        tally: ctx.tally,
+    };
     let mut all_hit = true;
-    // The canonical key is built lazily: a point whose head slots are
-    // all warm never allocates it.
-    let mut key: Option<String> = None;
     let mut phys_local: Option<Arc<PhysicalProfile>> = None;
 
     // ---- Embodied head (physical → yield → embodied) ----
-    if emb_slot.is_some() {
+    if slots.emb.is_some() {
         count_col_hit(&mut out.col.embodied, ctx.emb_col, stamp);
     } else {
-        if key.is_none() {
-            key = Some(EvalCache::key_for(design));
-        }
-        let k = key.as_deref().expect("key computed above");
-        let outcome = match cache
-            .embodied
-            .lookup(tags.embodied, k, stamp, &ctx.tally.embodied)
-        {
-            Some(o) => o,
-            None => {
-                all_hit = false;
-                let point = PointLookup {
-                    tags,
-                    model: ctx.model,
-                    design,
-                    design_key: k,
-                    stamp,
-                    tally: ctx.tally,
-                };
-                let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
-                let yld = cache.yield_or_eval(&point, &phys)?;
-                match pipeline::embodied_breakdown(ctx.model.context(), design, &phys, &yld) {
-                    Ok(b) => {
-                        let o = EmbodiedOutcome::Report(Arc::new(b));
-                        cache
-                            .embodied
-                            .insert(tags.embodied, k, stamp, o.clone(), ctx.cap);
-                        o
-                    }
-                    Err(ModelError::DieExceedsWafer { .. }) => {
-                        cache.embodied.insert(
-                            tags.embodied,
-                            k,
-                            stamp,
-                            EmbodiedOutcome::Oversized,
-                            ctx.cap,
-                        );
-                        EmbodiedOutcome::Oversized
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
+        let (outcome, hit) = cache.embodied_head(&point, || {
+            resolve_phys(ctx, &point, &mut phys_local, slots.phys, out)
+        })?;
+        all_hit &= hit;
         out.wrote_emb = true;
-        *emb_slot = Some(outcome);
+        *slots.emb = Some(outcome);
     }
-    let emb = match emb_slot.as_ref().expect("embodied slot filled above") {
+    let emb = match slots.emb.as_ref().expect("embodied slot filled above") {
         EmbodiedOutcome::Report(r) => Arc::clone(r),
         EmbodiedOutcome::Oversized => {
-            *total_slot = None;
+            *slots.total = None;
             return Ok((all_hit, false));
         }
     };
 
     // ---- Operational head (physical → power → operational) ----
-    if op_slot.is_some() {
+    if slots.op.is_some() {
         count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
     } else {
-        if key.is_none() {
-            key = Some(EvalCache::key_for(design));
-        }
-        let k = key.as_deref().expect("key computed above");
-        let report =
-            match cache
-                .operational
-                .lookup(tags.operational, k, stamp, &ctx.tally.operational)
-            {
-                Some(r) => r,
+        let (report, hit) = cache.operational_head(&point, ctx.workload, || {
+            let phys = resolve_phys(ctx, &point, &mut phys_local, slots.phys, out);
+            let power = match slots.power.as_ref() {
+                Some(p) => {
+                    count_col_hit(&mut out.col.power, ctx.power_col, stamp);
+                    Arc::clone(p)
+                }
                 None => {
-                    all_hit = false;
-                    let point = PointLookup {
-                        tags,
-                        model: ctx.model,
-                        design,
-                        design_key: k,
-                        stamp,
-                        tally: ctx.tally,
-                    };
-                    let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
-                    let power = match power_slot.as_ref() {
-                        Some(p) => {
-                            count_col_hit(&mut out.col.power, ctx.power_col, stamp);
-                            Arc::clone(p)
-                        }
-                        None => {
-                            let p = cache.power_or_eval(&point, &phys)?;
-                            out.wrote_power = true;
-                            *power_slot = Some(Arc::clone(&p));
-                            p
-                        }
-                    };
-                    let r = Arc::new(pipeline::operational_report(
-                        ctx.model.context(),
-                        design,
-                        &phys,
-                        &power,
-                        ctx.workload,
-                        ctx.model.power_model(),
-                    )?);
-                    cache
-                        .operational
-                        .insert(tags.operational, k, stamp, Arc::clone(&r), ctx.cap);
-                    r
+                    let p = cache.power_or_eval(&point, &phys)?;
+                    out.wrote_power = true;
+                    *slots.power = Some(Arc::clone(&p));
+                    p
                 }
             };
+            Ok((phys, power))
+        })?;
+        all_hit &= hit;
         out.wrote_op = true;
-        *op_slot = Some(report);
+        *slots.op = Some(report);
     }
-    let op = op_slot.as_ref().expect("operational slot filled above");
-    *total_slot = Some(pipeline::lifecycle_total(&emb, op).kg());
+    let op = slots.op.as_ref().expect("operational slot filled above");
+    *slots.total = Some(pipeline::lifecycle_total(&emb, op).kg());
     Ok((all_hit, true))
 }
 
 /// Evaluates one point into its slots, folding the outcome into the
 /// worker-local bookkeeping.
-#[allow(clippy::too_many_arguments)]
 fn fill_point(
     ctx: &FillCtx<'_>,
     index: usize,
-    design: &ChipDesign,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
-    emb_slot: &mut Option<EmbodiedOutcome>,
-    power_slot: &mut Option<Arc<PowerProfile>>,
-    op_slot: &mut Option<Arc<OperationalReport>>,
-    total_slot: &mut Option<f64>,
+    point: &SweepPoint,
+    key: &Arc<DesignKey>,
+    slots: Slots<'_>,
     out: &mut FillOut,
 ) {
-    match eval_slots(
-        ctx, design, phys_slot, emb_slot, power_slot, op_slot, total_slot, out,
-    ) {
+    match eval_slots(ctx, point.design(), key, slots, out) {
         Ok((all_hit, ranked)) => {
             if all_hit {
                 out.point_hits += 1;
@@ -668,61 +523,32 @@ fn fill_point(
 }
 
 /// Fills every missing slot, serially or via chunked work-stealing.
-/// Every point is evaluated even when one fails — the per-point path
-/// does the same, which is what makes the reported error (lowest plan
-/// index) deterministic under any worker count.
-#[allow(clippy::too_many_arguments)]
+/// Every point is evaluated even when one fails, which is what makes
+/// the reported error (lowest plan index) deterministic under any
+/// worker count.
 fn fill(
     ctx: &FillCtx<'_>,
     points: &[SweepPoint],
+    keys: &[Arc<DesignKey>],
     workers: usize,
-    phys: &mut [Option<Arc<PhysicalProfile>>],
-    emb: &mut [Option<EmbodiedOutcome>],
-    power: &mut [Option<Arc<PowerProfile>>],
-    op: &mut [Option<Arc<OperationalReport>>],
-    totals: &mut [Option<f64>],
+    mut columns: Columns<'_>,
 ) -> FillOut {
     if workers <= 1 || points.len() <= 1 {
         let mut local = FillOut::default();
-        for (i, point) in points.iter().enumerate() {
-            fill_point(
-                ctx,
-                i,
-                point.design(),
-                &mut phys[i],
-                &mut emb[i],
-                &mut power[i],
-                &mut op[i],
-                &mut totals[i],
-                &mut local,
-            );
+        for (i, (point, key)) in points.iter().zip(keys).enumerate() {
+            fill_point(ctx, i, point, key, columns.slots(i), &mut local);
         }
         return local;
     }
 
     let chunk = chunk_size(points.len(), workers);
-    let mut tasks = Vec::with_capacity(points.len().div_ceil(chunk));
-    let mut start = 0;
-    let zipped = points
+    let tasks = points
         .chunks(chunk)
-        .zip(phys.chunks_mut(chunk))
-        .zip(emb.chunks_mut(chunk))
-        .zip(power.chunks_mut(chunk))
-        .zip(op.chunks_mut(chunk))
-        .zip(totals.chunks_mut(chunk));
-    for (((((points, phys), emb), power), op), totals) in zipped {
-        tasks.push(ChunkTask {
-            start,
-            points,
-            phys,
-            emb,
-            power,
-            op,
-            totals,
-        });
-        start += points.len();
-    }
-    let queue = Mutex::new(tasks.into_iter());
+        .zip(keys.chunks(chunk))
+        .zip(columns.chunks(chunk))
+        .enumerate()
+        .map(|(c, ((points, keys), columns))| (c * chunk, points, keys, columns));
+    let queue = Mutex::new(tasks);
     let locals: Vec<FillOut> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -731,19 +557,11 @@ fn fill(
                 let mut local = FillOut::default();
                 loop {
                     let stolen = queue.lock().expect("steal queue poisoned").next();
-                    let Some(task) = stolen else { break };
-                    for (o, point) in task.points.iter().enumerate() {
-                        fill_point(
-                            ctx,
-                            task.start + o,
-                            point.design(),
-                            &mut task.phys[o],
-                            &mut task.emb[o],
-                            &mut task.power[o],
-                            &mut task.op[o],
-                            &mut task.totals[o],
-                            &mut local,
-                        );
+                    let Some((start, points, keys, mut columns)) = stolen else {
+                        break;
+                    };
+                    for (o, (point, key)) in points.iter().zip(keys).enumerate() {
+                        fill_point(ctx, start + o, point, key, columns.slots(o), &mut local);
                     }
                 }
                 local
@@ -751,7 +569,7 @@ fn fill(
         }
         handles
             .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
+            .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
     let mut merged = FillOut::default();
@@ -761,9 +579,17 @@ fn fill(
     merged
 }
 
-/// The batch execution core shared by
-/// [`SweepExecutor::execute_batched`] (which passes `entries`) and
-/// [`SweepExecutor::execute_batched_ranking`] (which does not).
+/// The contiguous index range one steal claims: small enough that 8
+/// workers rebalance a skewed plan (~8 steals each), large enough that
+/// synchronization is paid once per dozens of points, capped so huge
+/// plans still rebalance.
+fn chunk_size(points: usize, workers: usize) -> usize {
+    (points / (workers * 8).max(1)).clamp(16, 4096)
+}
+
+/// The execution core shared by [`SweepExecutor::execute`] (which
+/// passes `entries`) and [`SweepExecutor::execute_batched_ranking`]
+/// (which does not).
 pub(crate) fn run(
     exec: &SweepExecutor,
     model: &CarbonModel,
@@ -775,22 +601,20 @@ pub(crate) fn run(
     let _obs = tdc_obs::span("sweep.execute_batched");
     let cache = exec.cache();
     let stamp = cache.current_stamp();
-    let cap = cache.artifact_cap();
     let n = plan.len();
-    let fingerprint = plan.fingerprint();
-    let limit = columns_limit(cap, n);
+    let keys = plan.keys();
+    let limit = columns_limit(cache.artifact_cap(), n);
 
     let mut guard = exec
         .engine()
         .state
         .lock()
-        .expect("batch engine lock poisoned");
+        .expect("sweep engine lock poisoned");
     let tags = guard.resolve_tags(model, workload);
-    if !matches!(guard.plan.as_ref(), Some(s) if s.fingerprint == fingerprint) {
+    if !matches!(guard.plan.as_ref(), Some(s) if s.holds(keys)) {
         // A different plan owns the columns: drop them and start
-        // fresh. The keyed cache still answers warm artifacts, so a
-        // plan switch costs no more than the per-point path.
-        guard.plan = Some(PlanState::new(fingerprint));
+        // fresh. The keyed cache still answers warm artifacts.
+        guard.plan = Some(PlanState::new(Arc::clone(keys)));
     }
     let state = guard.plan.as_mut().expect("batch state present");
 
@@ -802,7 +626,6 @@ pub(crate) fn run(
     let mut stats = SweepStats {
         points: n,
         workers: 1,
-        batch: true,
         ..SweepStats::default()
     };
 
@@ -847,7 +670,6 @@ pub(crate) fn run(
             model,
             workload,
             stamp,
-            cap,
             phys_col: phys_col.stamp,
             emb_col: emb_col.stamp,
             power_col: power_col.stamp,
@@ -857,12 +679,15 @@ pub(crate) fn run(
         let merged = fill(
             &ctx,
             plan.points(),
+            keys,
             workers,
-            &mut phys_col.slots,
-            &mut emb_col.slots,
-            &mut power_col.slots,
-            &mut op_col.slots,
-            &mut totals_col.slots,
+            Columns {
+                phys: &mut phys_col.slots,
+                emb: &mut emb_col.slots,
+                power: &mut power_col.slots,
+                op: &mut op_col.slots,
+                totals: &mut totals_col.slots,
+            },
         );
         if merged.wrote_phys {
             phys_col.stamp = stamp;
@@ -971,7 +796,8 @@ pub(crate) fn run(
 
 /// Ignored-by-default profiling harness: breaks a warm batch call
 /// down into its constant-overhead components (stage-tag derivation,
-/// plan fingerprinting, the ranking loop itself). Run with
+/// design-key building for a rebuilt plan, the ranking loop itself).
+/// Run with
 /// `cargo test --release -p tdc-core profile_warm -- --ignored --nocapture`
 /// when chasing per-call overhead — the warm loop is fast enough that
 /// any per-call hashing or formatting dominates it.
@@ -1006,9 +832,9 @@ mod profile_tests {
         eprintln!("stage_tags: {:?}/call", t.elapsed() / n);
         let t = std::time::Instant::now();
         for _ in 0..n {
-            std::hint::black_box(compute_plan_fingerprint(&plan));
+            std::hint::black_box(plan.designs().map(DesignKey::new).count());
         }
-        eprintln!("plan_fingerprint: {:?}/call", t.elapsed() / n);
+        eprintln!("plan keys: {:?}/call", t.elapsed() / n);
         let t = std::time::Instant::now();
         for _ in 0..n {
             executor

@@ -23,11 +23,18 @@
 //! | [`PowerProfile`] | geometry |
 //! | [`OperationalReport`](crate::OperationalReport) | geometry + use grid + bandwidth + power plug-in + workload |
 //!
-//! The design half of every key is the *canonical form of the design*
-//! — every die's [`DieSpec`](crate::DieSpec) (name, process node, gate
-//! count / area / overrides) plus the integration technology,
-//! orientation, and bonding flow — so any two points that would
-//! produce the same artifact are computed once.
+//! The design half of every key is a [`DesignKey`]: the *canonical
+//! form of the design* — every die's [`DieSpec`](crate::DieSpec)
+//! (name, process node, gate count / area / overrides) plus the
+//! integration technology, orientation, and bonding flow — as a
+//! compact, injective byte string with a 128-bit fingerprint. Any two
+//! points that would produce the same artifact are computed once. A
+//! key is built once per plan point (memoized on the
+//! [`SweepPlan`](crate::sweep::SweepPlan)) or once per `run` request,
+//! and every stage entry shares it by `Arc`. Shards index entries by
+//! fingerprint, but a hit also requires the stored bytes to equal the
+//! probe's, so a fingerprint collision is a miss — it can never answer
+//! with another design's artifact.
 //!
 //! # Shards and eviction
 //!
@@ -72,6 +79,163 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use tdc_obs::metrics::Counter;
+
+/// The canonical identity of a design: a compact, length-prefixed
+/// (hence injective) byte encoding of every field an artifact depends
+/// on, plus a 128-bit fingerprint of those bytes.
+///
+/// Two keys are equal exactly when their bytes are equal; the
+/// fingerprint only routes lookups. Keys are immutable and shared by
+/// `Arc`: one per plan point (see
+/// [`SweepPlan`](crate::sweep::SweepPlan)) or per `run` request, held
+/// by every stage entry computed for it.
+///
+/// ```
+/// use tdc_core::sweep::DesignKey;
+/// use tdc_core::{ChipDesign, DieSpec};
+/// use tdc_technode::ProcessNode;
+///
+/// # fn main() -> Result<(), tdc_core::ModelError> {
+/// let design = |gates| -> Result<ChipDesign, tdc_core::ModelError> {
+///     Ok(ChipDesign::monolithic_2d(
+///         DieSpec::builder("d", ProcessNode::N7).gate_count(gates).build()?,
+///     ))
+/// };
+/// assert_eq!(DesignKey::new(&design(5.0e9)?), DesignKey::new(&design(5.0e9)?));
+/// assert_ne!(DesignKey::new(&design(5.0e9)?), DesignKey::new(&design(6.0e9)?));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Eq)]
+pub struct DesignKey {
+    fingerprint: u128,
+    bytes: Box<[u8]>,
+}
+
+impl PartialEq for DesignKey {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+            || (self.fingerprint == other.fingerprint && self.bytes == other.bytes)
+    }
+}
+
+impl DesignKey {
+    /// Encodes `design`: the integration variant (technology,
+    /// orientation, flow), then per die its length-prefixed name, node,
+    /// and the raw bit pattern of every optional numeric field behind a
+    /// presence byte.
+    #[must_use]
+    pub fn new(design: &ChipDesign) -> Self {
+        fn bits(out: &mut Vec<u8>, value: Option<f64>) {
+            match value {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(4 + 64 * design.dies().len());
+        match design {
+            ChipDesign::Monolithic2d { .. } => out.push(1),
+            ChipDesign::Stack3d {
+                tech,
+                orientation,
+                flow,
+                ..
+            } => out.extend_from_slice(&[
+                2,
+                *tech as u8,
+                *orientation as u8,
+                flow.map_or(0, |f| f as u8 + 1),
+            ]),
+            ChipDesign::Assembly25d { tech, .. } => out.extend_from_slice(&[3, *tech as u8]),
+        }
+        for die in design.dies() {
+            let name = die.name().as_bytes();
+            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            out.extend_from_slice(name);
+            out.push(die.node() as u8);
+            bits(&mut out, die.gate_count());
+            bits(&mut out, die.area_override().map(|a| a.mm2()));
+            bits(&mut out, die.beol_override().map(f64::from));
+            bits(&mut out, die.efficiency().map(|e| e.tops_per_watt()));
+            bits(&mut out, die.compute_share());
+            match die.rent() {
+                None => out.push(0),
+                Some(r) => {
+                    out.push(1);
+                    for v in [
+                        r.exponent(),
+                        r.terminals_per_gate(),
+                        r.fanout(),
+                        r.external_exponent(),
+                    ] {
+                        out.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        Self {
+            fingerprint: fingerprint128(&out),
+            bytes: out.into_boxed_slice(),
+        }
+    }
+
+    /// A key for `design` carrying a chosen fingerprint — lets tests
+    /// stage a fingerprint collision between two different designs.
+    #[cfg(test)]
+    pub(crate) fn with_fingerprint(design: &ChipDesign, fingerprint: u128) -> Self {
+        Self {
+            fingerprint,
+            ..Self::new(design)
+        }
+    }
+
+    /// The 128-bit fingerprint of the encoding.
+    #[must_use]
+    pub fn fingerprint(&self) -> u128 {
+        self.fingerprint
+    }
+
+    /// The canonical encoding itself.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// Two independent multiply-rotate lanes over the 8-byte words of
+/// `bytes`, each finished with a 64-bit avalanche. Fast rather than
+/// collision-resistant: a collision costs a cache miss, never a wrong
+/// answer, because hits compare the bytes.
+fn fingerprint128(bytes: &[u8]) -> u128 {
+    fn avalanche(mut x: u64) -> u64 {
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
+    }
+    let len = bytes.len() as u64;
+    let mut a = 0x243f_6a88_85a3_08d3 ^ len;
+    let mut b = 0x1319_8a2e_0370_7344 ^ len.rotate_left(32);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        let w = u64::from_le_bytes(word);
+        a = (a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+        b = (b ^ w.rotate_left(17))
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(31);
+    }
+    (u128::from(avalanche(a)) << 64) | u128::from(avalanche(b ^ a.rotate_left(13)))
+}
+
+/// A configuration's entries, by design fingerprint. The map keeps
+/// std's keyed hasher: designs arrive from clients, and the
+/// fingerprint is not keyed.
+type ByFingerprint<T> = HashMap<u128, Entry<T>>;
 
 /// What a finished embodied evaluation left behind. Only the two
 /// *non-fatal* outcomes are cached.
@@ -321,10 +485,10 @@ pub(crate) struct Stamp {
     pub(crate) client: u64,
 }
 
-/// Per-execute hit/miss tally, threaded through every lookup so a
-/// `SweepExecutor::execute` call reports exactly its own traffic even
-/// when other calls share the cache concurrently (the cumulative
-/// [`StageCell`] counters cannot be attributed per call).
+/// Per-call hit/miss tally, threaded through every lookup so a sweep
+/// or `run` request reports exactly its own traffic even when other
+/// calls share the cache concurrently (the cumulative [`StageCell`]
+/// counters cannot be attributed per call).
 #[derive(Debug, Default)]
 pub(crate) struct PipelineTally {
     pub(crate) physical: TallyPair,
@@ -366,12 +530,13 @@ impl PipelineTally {
     }
 }
 
-/// One stored artifact plus its bookkeeping: the (epoch, client) it
-/// was inserted under and its last-used stamp from the store-wide
-/// access clock (atomic, so warm lookups bump recency under the
-/// shard's *read* lock).
+/// One stored artifact plus its bookkeeping: the design it belongs to
+/// (checked on every hit), the (epoch, client) it was inserted under,
+/// and its last-used stamp from the store-wide access clock (atomic,
+/// so warm lookups bump recency under the shard's *read* lock).
 #[derive(Debug)]
 struct Entry<T> {
+    key: Arc<DesignKey>,
     value: T,
     epoch: u64,
     client: u64,
@@ -379,13 +544,13 @@ struct Entry<T> {
 }
 
 /// One shard of a stage's store: artifacts keyed (configuration tag →
-/// canonical design key) plus an entry count maintained under the
-/// write lock. The two-level map lets a warm lookup borrow the design
-/// key (`&str`) — no per-lookup allocation — and groups one
-/// configuration's entries together.
+/// design fingerprint) plus an entry count maintained under the write
+/// lock. The two-level map groups one configuration's entries
+/// together; a warm lookup hashes two integers and compares the
+/// design bytes — no per-lookup allocation.
 #[derive(Debug)]
 struct Shard<T> {
-    entries: HashMap<u64, HashMap<String, Entry<T>>>,
+    entries: HashMap<u64, ByFingerprint<T>>,
     count: usize,
     /// Entries this shard has evicted since construction (maintained
     /// under the write lock; feeds [`EvalCache::shard_stats`]).
@@ -486,15 +651,28 @@ impl<T> Default for StageCell<T> {
 
 impl<T: Clone> StageCell<T> {
     /// Looks (`tag`, `key`) up under the shard's *read* lock, counting
-    /// the outcome both cumulatively and on the caller's tally. A hit
-    /// on an artifact inserted before `stamp.epoch` additionally
-    /// counts as a cross-epoch hit; one inserted by a different client
-    /// as a cross-client hit. Hits bump the entry's LRU stamp.
-    pub(crate) fn lookup(&self, tag: u64, key: &str, stamp: Stamp, tally: &TallyPair) -> Option<T> {
+    /// the outcome both cumulatively and on the caller's tally. An
+    /// entry whose fingerprint matches but whose design bytes differ is
+    /// a miss. A hit on an artifact inserted before `stamp.epoch`
+    /// additionally counts as a cross-epoch hit; one inserted by a
+    /// different client as a cross-client hit. Hits bump the entry's
+    /// LRU stamp.
+    pub(crate) fn lookup(
+        &self,
+        tag: u64,
+        key: &DesignKey,
+        stamp: Stamp,
+        tally: &TallyPair,
+    ) -> Option<T> {
         let shard = self.shards[shard_of(tag)]
             .read()
             .expect("cache shard poisoned");
-        match shard.entries.get(&tag).and_then(|m| m.get(key)) {
+        match shard
+            .entries
+            .get(&tag)
+            .and_then(|m| m.get(&key.fingerprint))
+            .filter(|e| *e.key == *key)
+        {
             Some(entry) => {
                 entry.last_used.store(
                     self.clock.fetch_add(1, Ordering::Relaxed) + 1,
@@ -521,18 +699,31 @@ impl<T: Clone> StageCell<T> {
     }
 
     /// Inserts under the shard's write lock, evicting the shard's LRU
-    /// quarter first when it is at its share of `cap`.
-    pub(crate) fn insert(&self, tag: u64, key: &str, stamp: Stamp, value: T, cap: usize) {
+    /// quarter first when it is at its share of `cap`. An entry with
+    /// the same fingerprint is replaced, even if it belongs to another
+    /// design.
+    pub(crate) fn insert(
+        &self,
+        tag: u64,
+        key: &Arc<DesignKey>,
+        stamp: Stamp,
+        value: T,
+        cap: usize,
+    ) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[shard_of(tag)]
             .write()
             .expect("cache shard poisoned");
-        let exists = shard.entries.get(&tag).is_some_and(|m| m.contains_key(key));
+        let exists = shard
+            .entries
+            .get(&tag)
+            .is_some_and(|m| m.contains_key(&key.fingerprint));
         if !exists && shard.count >= per_shard_cap(cap) {
             let evicted = evict_lru(&mut shard);
             self.evictions.add(evicted as u64);
         }
         let entry = Entry {
+            key: Arc::clone(key),
             value,
             epoch: stamp.epoch,
             client: stamp.client,
@@ -542,7 +733,7 @@ impl<T: Clone> StageCell<T> {
             .entries
             .entry(tag)
             .or_default()
-            .insert(key.to_owned(), entry)
+            .insert(key.fingerprint, entry)
             .is_none()
         {
             shard.count += 1;
@@ -709,62 +900,6 @@ impl EvalCache {
             epoch: self.epoch.load(Ordering::Relaxed),
             client: self.client.load(Ordering::Relaxed),
         }
-    }
-
-    /// The canonical key of a design: every die spec (name, node, and
-    /// the raw bit pattern of each numeric field, so distinct values
-    /// get distinct keys) plus the integration technology, orientation,
-    /// and flow. Compact by construction — building a key costs a
-    /// fraction of a stage evaluation, so a cache hit is a real win.
-    #[must_use]
-    pub fn key_for(design: &ChipDesign) -> String {
-        use std::fmt::Write as _;
-        fn bits(out: &mut String, value: Option<f64>) {
-            match value {
-                // `~` cannot collide with a hex digit.
-                None => out.push('~'),
-                Some(v) => {
-                    let _ = write!(out, "{:x}", v.to_bits());
-                }
-            }
-            out.push(',');
-        }
-        let mut key = String::with_capacity(64 * design.dies().len());
-        match design {
-            ChipDesign::Monolithic2d { .. } => key.push_str("2d|"),
-            ChipDesign::Stack3d {
-                tech,
-                orientation,
-                flow,
-                ..
-            } => {
-                let _ = write!(key, "3d:{tech:?}:{orientation:?}:{flow:?}|");
-            }
-            ChipDesign::Assembly25d { tech, .. } => {
-                let _ = write!(key, "25d:{tech:?}|");
-            }
-        }
-        for die in design.dies() {
-            // Length-prefixing the name makes the encoding injective
-            // even for names that contain the separator characters.
-            let _ = write!(key, "{}:{}{:?};", die.name().len(), die.name(), die.node());
-            bits(&mut key, die.gate_count());
-            bits(&mut key, die.area_override().map(|a| a.mm2()));
-            bits(&mut key, die.beol_override().map(f64::from));
-            bits(&mut key, die.efficiency().map(|e| e.tops_per_watt()));
-            bits(&mut key, die.compute_share());
-            match die.rent() {
-                None => key.push('~'),
-                Some(r) => {
-                    bits(&mut key, Some(r.exponent()));
-                    bits(&mut key, Some(r.terminals_per_gate()));
-                    bits(&mut key, Some(r.fanout()));
-                    bits(&mut key, Some(r.external_exponent()));
-                }
-            }
-            key.push('|');
-        }
-        key
     }
 
     /// Computes the per-stage namespace tags for a (model, workload)
@@ -957,159 +1092,136 @@ impl EvalCache {
         Ok(p)
     }
 
-    /// The embodied half of the pipeline (physical → yield →
-    /// embodied), answered from the store when possible. Returns
-    /// `Ok(None)` for designs whose dies outgrow the wafer; `phys_out`
-    /// receives the physical profile when this call had to fetch it,
-    /// so the operational half can reuse it without a second lookup.
-    fn embodied_half(
+    /// The embodied artifact head (physical → yield → embodied):
+    /// answered from the store, or computed — taking the physical
+    /// profile from `phys` — and stored. A design whose dies outgrow
+    /// the wafer is a stored [`EmbodiedOutcome::Oversized`], not an
+    /// error. The bool is the hit flag.
+    pub(crate) fn embodied_head(
         &self,
         point: &PointLookup<'_>,
-        phys_out: &mut Option<Arc<PhysicalProfile>>,
-        all_hit: &mut bool,
-    ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        match self.embodied.lookup(
-            point.tags.embodied,
-            point.design_key,
-            point.stamp,
-            &point.tally.embodied,
-        ) {
-            Some(EmbodiedOutcome::Report(r)) => Ok(Some(r)),
-            Some(EmbodiedOutcome::Oversized) => Ok(None),
-            None => {
-                *all_hit = false;
-                let phys = self.physical_or_eval(point);
-                *phys_out = Some(Arc::clone(&phys));
-                let yld = self.yield_or_eval(point, &phys)?;
-                match pipeline::embodied_breakdown(point.model.context(), point.design, &phys, &yld)
-                {
-                    Ok(b) => {
-                        let arc = Arc::new(b);
-                        self.embodied.insert(
-                            point.tags.embodied,
-                            point.design_key,
-                            point.stamp,
-                            EmbodiedOutcome::Report(Arc::clone(&arc)),
-                            self.artifact_cap,
-                        );
-                        Ok(Some(arc))
-                    }
-                    Err(ModelError::DieExceedsWafer { .. }) => {
-                        self.embodied.insert(
-                            point.tags.embodied,
-                            point.design_key,
-                            point.stamp,
-                            EmbodiedOutcome::Oversized,
-                            self.artifact_cap,
-                        );
-                        *all_hit = false;
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+        phys: impl FnOnce() -> Arc<PhysicalProfile>,
+    ) -> Result<(EmbodiedOutcome, bool), ModelError> {
+        let (tag, key, stamp) = (point.tags.embodied, point.design_key, point.stamp);
+        if let Some(o) = self.embodied.lookup(tag, key, stamp, &point.tally.embodied) {
+            return Ok((o, true));
         }
+        let phys = phys();
+        let yld = self.yield_or_eval(point, &phys)?;
+        let outcome =
+            match pipeline::embodied_breakdown(point.model.context(), point.design, &phys, &yld) {
+                Ok(b) => EmbodiedOutcome::Report(Arc::new(b)),
+                Err(ModelError::DieExceedsWafer { .. }) => EmbodiedOutcome::Oversized,
+                Err(e) => return Err(e),
+            };
+        self.embodied
+            .insert(tag, key, stamp, outcome.clone(), self.artifact_cap);
+        Ok((outcome, false))
     }
 
-    /// Evaluates only the embodied chain of `design` under `model`
-    /// (the `tdc run` without-a-workload path), answering every stage
-    /// from the store when possible. Returns `Ok(None)` for designs
-    /// whose dies outgrow the wafer.
+    /// The operational artifact head (physical → power → operational):
+    /// answered from the store, or computed from the (physical, power)
+    /// profiles `inputs` supplies and stored. The bool is the hit flag.
+    pub(crate) fn operational_head(
+        &self,
+        point: &PointLookup<'_>,
+        workload: &Workload,
+        inputs: impl FnOnce() -> Result<(Arc<PhysicalProfile>, Arc<PowerProfile>), ModelError>,
+    ) -> Result<(Arc<OperationalReport>, bool), ModelError> {
+        let (tag, key, stamp) = (point.tags.operational, point.design_key, point.stamp);
+        if let Some(r) = self
+            .operational
+            .lookup(tag, key, stamp, &point.tally.operational)
+        {
+            return Ok((r, true));
+        }
+        let (phys, power) = inputs()?;
+        let model = point.model;
+        let r = Arc::new(pipeline::operational_report(
+            model.context(),
+            point.design,
+            &phys,
+            &power,
+            workload,
+            model.power_model(),
+        )?);
+        self.operational
+            .insert(tag, key, stamp, Arc::clone(&r), self.artifact_cap);
+        Ok((r, false))
+    }
+
+    /// Evaluates only the embodied chain of `design` (whose key is
+    /// `design_key`) under `model` (the `tdc run` without-a-workload
+    /// path), answering every stage from the store when possible.
+    /// Returns `Ok(None)` for designs whose dies outgrow the wafer.
     pub(crate) fn embodied_or_eval(
         &self,
         tags: &StageTags,
         model: &CarbonModel,
         design: &ChipDesign,
+        design_key: &Arc<DesignKey>,
         tally: &PipelineTally,
     ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        let design_key = Self::key_for(design);
         let point = PointLookup {
             tags,
             model,
             design,
-            design_key: &design_key,
+            design_key,
             stamp: self.current_stamp(),
             tally,
         };
-        let mut phys_local = None;
-        let mut all_hit = true;
-        self.embodied_half(&point, &mut phys_local, &mut all_hit)
+        match self
+            .embodied_head(&point, || self.physical_or_eval(&point))?
+            .0
+        {
+            EmbodiedOutcome::Report(r) => Ok(Some(r)),
+            EmbodiedOutcome::Oversized => Ok(None),
+        }
     }
 
-    /// Evaluates `design` under (`model`, `workload`) through the
-    /// staged pipeline, answering every stage from the store when
-    /// possible. `tags` is the value
-    /// [`stage_tags`](EvalCache::stage_tags) returned for this
-    /// configuration. Returns `Ok(None)` for designs whose dies outgrow
-    /// the wafer (dropped, and remembered as dropped), and the report
-    /// plus a did-every-stage-hit flag otherwise.
+    /// Evaluates `design` (whose key is `design_key`) under (`model`,
+    /// `workload`) through the staged pipeline, answering every stage
+    /// from the store when possible — the `tdc run` path. `tags` is
+    /// the value [`stage_tags`](EvalCache::stage_tags) returned for
+    /// this configuration. Returns `Ok(None)` for designs whose dies
+    /// outgrow the wafer (remembered as such), and the report plus a
+    /// did-every-stage-hit flag otherwise.
     pub(crate) fn lifecycle_or_eval(
         &self,
         tags: &StageTags,
         model: &CarbonModel,
         design: &ChipDesign,
+        design_key: &Arc<DesignKey>,
         workload: &Workload,
         tally: &PipelineTally,
     ) -> Result<(Option<LifecycleReport>, bool), ModelError> {
-        let design_key = Self::key_for(design);
         let point = PointLookup {
             tags,
             model,
             design,
-            design_key: &design_key,
+            design_key,
             stamp: self.current_stamp(),
             tally,
         };
-        // Fetched at most once per point, shared by both halves below.
+        // Fetched at most once per point, shared by both heads.
         let mut phys_local: Option<Arc<PhysicalProfile>> = None;
-        let mut all_hit = true;
-
-        // ---- Embodied artifact (physical → yield → embodied) ----
-        let Some(embodied) = self.embodied_half(&point, &mut phys_local, &mut all_hit)? else {
-            return Ok((None, all_hit));
+        let mut phys =
+            || Arc::clone(phys_local.get_or_insert_with(|| self.physical_or_eval(&point)));
+        let (embodied, emb_hit) = self.embodied_head(&point, &mut phys)?;
+        let EmbodiedOutcome::Report(embodied) = embodied else {
+            return Ok((None, emb_hit));
         };
-
-        // ---- Operational artifact (physical → power → operational) ----
-        let operational = match self.operational.lookup(
-            tags.operational,
-            &design_key,
-            point.stamp,
-            &tally.operational,
-        ) {
-            Some(r) => r,
-            None => {
-                all_hit = false;
-                let phys = match &phys_local {
-                    Some(p) => Arc::clone(p),
-                    None => self.physical_or_eval(&point),
-                };
-                let power = self.power_or_eval(&point, &phys)?;
-                let r = pipeline::operational_report(
-                    model.context(),
-                    design,
-                    &phys,
-                    &power,
-                    workload,
-                    model.power_model(),
-                )?;
-                let arc = Arc::new(r);
-                self.operational.insert(
-                    tags.operational,
-                    &design_key,
-                    point.stamp,
-                    Arc::clone(&arc),
-                    self.artifact_cap,
-                );
-                arc
-            }
-        };
-
+        let (operational, op_hit) = self.operational_head(&point, workload, || {
+            let phys = phys();
+            let power = self.power_or_eval(&point, &phys)?;
+            Ok((phys, power))
+        })?;
         Ok((
             Some(LifecycleReport {
                 embodied: (*embodied).clone(),
                 operational: (*operational).clone(),
             }),
-            all_hit,
+            emb_hit && op_hit,
         ))
     }
 }
@@ -1120,7 +1232,7 @@ pub(crate) struct PointLookup<'a> {
     pub(crate) tags: &'a StageTags,
     pub(crate) model: &'a CarbonModel,
     pub(crate) design: &'a ChipDesign,
-    pub(crate) design_key: &'a str,
+    pub(crate) design_key: &'a Arc<DesignKey>,
     pub(crate) stamp: Stamp,
     pub(crate) tally: &'a PipelineTally,
 }
@@ -1163,6 +1275,16 @@ mod tests {
         )
     }
 
+    fn key(design: &ChipDesign) -> Arc<DesignKey> {
+        Arc::new(DesignKey::new(design))
+    }
+
+    /// A distinct key per `i`, for exercising a bare [`StageCell`].
+    fn k(i: u64) -> Arc<DesignKey> {
+        #[allow(clippy::cast_precision_loss)]
+        key(&mono(1.0e9 + i as f64))
+    }
+
     /// The zero stamp every single-request test runs under.
     const S0: Stamp = Stamp {
         epoch: 0,
@@ -1176,10 +1298,10 @@ mod tests {
         let d = mono(5.0e9);
         let tags = EvalCache::stage_tags(&m, Some(&w));
         let (first, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
         let (second, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
         assert!(!hit1);
         assert!(hit2);
@@ -1208,7 +1330,7 @@ mod tests {
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
         cache
-            .lifecycle_or_eval(&tags, &base, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &base, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
 
         let moved = CarbonModel::new(
@@ -1220,7 +1342,14 @@ mod tests {
         assert_eq!(tags.embodied, moved_tags.embodied);
         assert_ne!(tags.operational, moved_tags.operational);
         let (report, hit) = cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &moved_tags,
+                &moved,
+                &d,
+                &key(&d),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         assert!(!hit, "the operational stage must recompute");
         let stats = cache.stats();
@@ -1249,7 +1378,7 @@ mod tests {
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
         cache
-            .lifecycle_or_eval(&tags, &base, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &base, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
 
         let moved = CarbonModel::new(
@@ -1261,7 +1390,14 @@ mod tests {
         assert_eq!(tags.operational, moved_tags.operational);
         assert_ne!(tags.embodied, moved_tags.embodied);
         let (report, _) = cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &moved_tags,
+                &moved,
+                &d,
+                &key(&d),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         let stats = cache.stats();
         assert_eq!(
@@ -1275,14 +1411,16 @@ mod tests {
 
     #[test]
     fn distinct_designs_get_distinct_keys() {
-        assert_ne!(
-            EvalCache::key_for(&mono(5.0e9)),
-            EvalCache::key_for(&mono(5.0e9 + 1.0))
+        let (a, b) = (
+            DesignKey::new(&mono(5.0e9)),
+            DesignKey::new(&mono(5.0e9 + 1.0)),
         );
-        assert_eq!(
-            EvalCache::key_for(&mono(5.0e9)),
-            EvalCache::key_for(&mono(5.0e9))
-        );
+        assert_ne!(a, b);
+        assert_ne!(a.as_bytes(), b.as_bytes());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let again = DesignKey::new(&mono(5.0e9));
+        assert_eq!(a, again);
+        assert_eq!(a.fingerprint(), again.fingerprint());
     }
 
     #[test]
@@ -1300,7 +1438,42 @@ mod tests {
         };
         let plain = named("d0");
         let hostile = named("d0N7;~,~,~,~,~,~|");
-        assert_ne!(EvalCache::key_for(&plain), EvalCache::key_for(&hostile));
+        assert_ne!(DesignKey::new(&plain), DesignKey::new(&hostile));
+    }
+
+    #[test]
+    fn fingerprint_collisions_miss_instead_of_answering_another_design() {
+        // Two different designs forced onto one fingerprint: the second
+        // lookup must miss on every stage and evaluate its own design.
+        let cache = EvalCache::new();
+        let (m, w) = (model(), workload());
+        let tags = EvalCache::stage_tags(&m, Some(&w));
+        let (a, b) = (mono(5.0e9), mono(9.0e9));
+        let ka = Arc::new(DesignKey::with_fingerprint(&a, 42));
+        let kb = Arc::new(DesignKey::with_fingerprint(&b, 42));
+        assert_eq!(ka.fingerprint(), kb.fingerprint());
+        assert_ne!(ka, kb);
+        let (ra, _) = cache
+            .lifecycle_or_eval(&tags, &m, &a, &ka, &w, &PipelineTally::default())
+            .unwrap();
+        let tally = PipelineTally::default();
+        let (rb, hit) = cache
+            .lifecycle_or_eval(&tags, &m, &b, &kb, &w, &tally)
+            .unwrap();
+        assert!(!hit, "a colliding fingerprint must not hit");
+        assert_eq!(tally.snapshot().hits(), 0);
+        assert_eq!(rb.unwrap(), m.lifecycle(&b, &w).unwrap());
+        assert_ne!(ra, m.lifecycle(&b, &w).ok());
+        // The colliding insert replaced the entry: the store holds one
+        // artifact per stage and still answers `b` exactly.
+        let cell: StageCell<u8> = StageCell::default();
+        let t = TallyPair::default();
+        cell.insert(1, &ka, S0, 1, DEFAULT_ARTIFACT_CAP);
+        assert_eq!(cell.lookup(1, &kb, S0, &t), None);
+        cell.insert(1, &kb, S0, 2, DEFAULT_ARTIFACT_CAP);
+        assert_eq!(cell.len(), 1);
+        assert_eq!(cell.lookup(1, &ka, S0, &t), None);
+        assert_eq!(cell.lookup(1, &kb, S0, &t), Some(2));
     }
 
     #[test]
@@ -1315,10 +1488,10 @@ mod tests {
         );
         let tags = EvalCache::stage_tags(&m, Some(&w));
         let (r1, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
         let (r2, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
         assert!(r1.is_none() && r2.is_none());
         assert!(!hit1);
@@ -1336,7 +1509,7 @@ mod tests {
         let d = mono(5.0e9);
         let tags = EvalCache::stage_tags(&m, Some(&w));
         cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
             .unwrap();
         let longer = Workload::fixed(
             "app",
@@ -1347,7 +1520,14 @@ mod tests {
         assert_eq!(tags.embodied, longer_tags.embodied);
         assert_ne!(tags.operational, longer_tags.operational);
         let (_, hit) = cache
-            .lifecycle_or_eval(&longer_tags, &m, &d, &longer, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &longer_tags,
+                &m,
+                &d,
+                &key(&d),
+                &longer,
+                &PipelineTally::default(),
+            )
             .unwrap();
         assert!(!hit, "a different workload must re-price operations");
         assert_eq!(cache.stats().stages.embodied.hits, 1);
@@ -1359,7 +1539,14 @@ mod tests {
         let (m, w) = (model(), workload());
         let tags = EvalCache::stage_tags(&m, Some(&w));
         cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &tags,
+                &m,
+                &mono(5.0e9),
+                &key(&mono(5.0e9)),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         assert_eq!(cache.stats().entries, 5);
         cache.clear();
@@ -1377,21 +1564,21 @@ mod tests {
         const CAP: usize = 4 * SHARD_COUNT;
         let tally = TallyPair::default();
         for i in 0..4u8 {
-            cell.insert(7, &format!("k{i}"), S0, i, CAP);
+            cell.insert(7, &k(u64::from(i)), S0, i, CAP);
         }
         assert_eq!(cell.len(), 4);
         // Touch k0: k1 becomes the LRU entry.
-        assert_eq!(cell.lookup(7, "k0", S0, &tally), Some(0));
-        cell.insert(7, "k4", S0, 4, CAP);
+        assert_eq!(cell.lookup(7, &k(0), S0, &tally), Some(0));
+        cell.insert(7, &k(4), S0, 4, CAP);
         assert_eq!(cell.len(), 4, "one in, one out");
-        assert_eq!(cell.lookup(7, "k1", S0, &tally), None, "LRU entry evicted");
+        assert_eq!(cell.lookup(7, &k(1), S0, &tally), None, "LRU entry evicted");
         assert_eq!(
-            cell.lookup(7, "k0", S0, &tally),
+            cell.lookup(7, &k(0), S0, &tally),
             Some(0),
             "touched entry kept"
         );
         assert_eq!(
-            cell.lookup(7, "k4", S0, &tally),
+            cell.lookup(7, &k(4), S0, &tally),
             Some(4),
             "new entry stored"
         );
@@ -1405,14 +1592,14 @@ mod tests {
         let cell: StageCell<u8> = StageCell::default();
         const CAP: usize = SHARD_COUNT; // one entry per shard
         let tally = TallyPair::default();
-        cell.insert(3, "a", S0, 1, CAP);
-        assert_eq!(cell.lookup(3, "a", S0, &tally), Some(1));
-        assert_eq!(cell.lookup(3, "missing", S0, &tally), None);
+        cell.insert(3, &k(50), S0, 1, CAP);
+        assert_eq!(cell.lookup(3, &k(50), S0, &tally), Some(1));
+        assert_eq!(cell.lookup(3, &k(999), S0, &tally), None);
         let before = cell.counters();
         assert_eq!(before, sc(1, 1));
         // Same tag → same shard → every insert beyond the first evicts.
         for i in 0..8u8 {
-            cell.insert(3, &format!("spill{i}"), S0, i, CAP);
+            cell.insert(3, &k(100 + u64::from(i)), S0, i, CAP);
         }
         assert!(cell.evictions() > 0, "the shard must have overflowed");
         assert_eq!(
@@ -1421,7 +1608,7 @@ mod tests {
             "inserts and evictions never touch the hit/miss counters"
         );
         // And the store keeps answering: the most recent entry is warm.
-        assert_eq!(cell.lookup(3, "spill7", S0, &tally), Some(7));
+        assert_eq!(cell.lookup(3, &k(107), S0, &tally), Some(7));
         assert_eq!(cell.counters().hits, before.hits + 1);
     }
 
@@ -1434,12 +1621,26 @@ mod tests {
         let (m, w) = (model(), workload());
         let tags = EvalCache::stage_tags(&m, Some(&w));
         cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &tags,
+                &m,
+                &mono(5.0e9),
+                &key(&mono(5.0e9)),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         let before = cache.stats();
         assert_eq!(before.stages.misses(), 5);
         cache
-            .lifecycle_or_eval(&tags, &m, &mono(6.0e9), &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &tags,
+                &m,
+                &mono(6.0e9),
+                &key(&mono(6.0e9)),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         let after = cache.stats();
         assert_eq!(
@@ -1462,10 +1663,10 @@ mod tests {
         for gates in [5.0e9, 6.0e9, 5.0e9, 7.0e9, 6.0e9] {
             let d = mono(gates);
             let (a, _) = roomy
-                .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+                .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
                 .unwrap();
             let (b, _) = tight
-                .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
+                .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
                 .unwrap();
             assert_eq!(a, b);
         }
@@ -1481,9 +1682,10 @@ mod tests {
         let cell: StageCell<u64> = StageCell::default();
         const CAP: usize = 8 * SHARD_COUNT;
         let total_lookups = std::sync::atomic::AtomicU64::new(0);
+        let keys: Vec<Arc<DesignKey>> = (0..32).map(k).collect();
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let (cell, total_lookups) = (&cell, &total_lookups);
+                let (cell, total_lookups, keys) = (&cell, &total_lookups, &keys);
                 scope.spawn(move || {
                     let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
                     let tally = TallyPair::default();
@@ -1494,7 +1696,7 @@ mod tests {
                             .wrapping_add(1_442_695_040_888_963_407);
                         let tag = seed >> 60; // 16 tags spread over shards
                         let k = (seed >> 32) & 31; // 32 keys per tag
-                        let key = format!("k{k}");
+                        let key = keys[k as usize].clone();
                         let stamp = Stamp {
                             epoch: i / 500,
                             client: t,
@@ -1545,12 +1747,16 @@ mod tests {
         // Request 1: cold.
         cache.advance_epoch();
         let t1 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t1).unwrap();
+        cache
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t1)
+            .unwrap();
         assert_eq!(t1.snapshot().cross_hits(), 0);
         // Request 2: both artifact heads come from request 1.
         cache.advance_epoch();
         let t2 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t2).unwrap();
+        cache
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t2)
+            .unwrap();
         let s2 = t2.snapshot();
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.cross_hits(), 2, "warmth came from the earlier epoch");
@@ -1564,7 +1770,7 @@ mod tests {
         );
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
         cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &t3)
+            .lifecycle_or_eval(&moved_tags, &moved, &d, &key(&d), &w, &t3)
             .unwrap();
         let s3 = t3.snapshot();
         // Embodied head: cross hit (inserted in request 1). The
@@ -1588,12 +1794,16 @@ mod tests {
         // Client 1 computes everything.
         cache.begin_request(1);
         let t1 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t1).unwrap();
+        cache
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t1)
+            .unwrap();
         assert_eq!(t1.snapshot().client_hits(), 0);
         // Client 2 answers both heads from client 1's artifacts.
         cache.begin_request(2);
         let t2 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t2).unwrap();
+        cache
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t2)
+            .unwrap();
         let s2 = t2.snapshot();
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.client_hits(), 2, "warmth came from another client");
@@ -1603,7 +1813,9 @@ mod tests {
         // cross-client ones — it computed these artifacts itself.
         cache.begin_request(1);
         let t3 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t3).unwrap();
+        cache
+            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t3)
+            .unwrap();
         let s3 = t3.snapshot();
         assert_eq!(s3.client_hits(), 0);
         assert_eq!(s3.cross_hits(), 2);
@@ -1619,7 +1831,9 @@ mod tests {
         cache.advance_epoch();
         let only_tags = EvalCache::stage_tags(&m, None);
         let t1 = PipelineTally::default();
-        let b = cache.embodied_or_eval(&only_tags, &m, &d, &t1).unwrap();
+        let b = cache
+            .embodied_or_eval(&only_tags, &m, &d, &key(&d), &t1)
+            .unwrap();
         assert!(b.is_some());
         assert_eq!(t1.snapshot().embodied.misses, 1);
         // ...and a later lifecycle request answers embodied from it.
@@ -1627,7 +1841,7 @@ mod tests {
         let life_tags = EvalCache::stage_tags(&m, Some(&w));
         let t2 = PipelineTally::default();
         let (report, _) = cache
-            .lifecycle_or_eval(&life_tags, &m, &d, &w, &t2)
+            .lifecycle_or_eval(&life_tags, &m, &d, &key(&d), &w, &t2)
             .unwrap();
         let fresh = m.lifecycle(&d, &w).unwrap();
         assert_eq!(report.unwrap(), fresh);
@@ -1654,11 +1868,25 @@ mod tests {
         let tags = EvalCache::stage_tags(&m, Some(&w));
         let before = cache.stats().stages;
         cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &tags,
+                &m,
+                &mono(5.0e9),
+                &key(&mono(5.0e9)),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         let mid = cache.stats().stages;
         cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
+            .lifecycle_or_eval(
+                &tags,
+                &m,
+                &mono(5.0e9),
+                &key(&mono(5.0e9)),
+                &w,
+                &PipelineTally::default(),
+            )
             .unwrap();
         let after = cache.stats().stages;
         let cold = mid.since(&before);

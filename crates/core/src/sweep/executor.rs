@@ -1,24 +1,23 @@
 //! Parallel evaluation of a [`SweepPlan`] ([`SweepExecutor`]).
 //!
-//! The executor shards plan points across a pool of `std::thread`
-//! workers pulling from a shared atomic cursor — idle workers
-//! immediately steal the next unevaluated index, so uneven point
-//! costs (a 9-die HBM stack next to a single 2D die) cannot leave a
-//! thread starved. Every point is evaluated through the per-stage
-//! [`EvalCache`], so points (and successive `execute` calls) that
-//! share upstream pipeline artifacts never recompute them. Results
-//! carry their plan index, and the final ranking sorts by (life-cycle
-//! total, index), so the output is **byte-identical for any worker
-//! count**, including the serial fast path.
+//! The executor owns the sweep engine (see [`batch`](super::batch)):
+//! a plan is lowered into per-stage columns that persist on the
+//! executor, so a re-execution recomputes only the stages whose
+//! context slice changed, and column misses go through the shared
+//! per-stage [`EvalCache`]. Cold fills shard the plan across a pool of
+//! `std::thread` workers stealing contiguous index ranges, so uneven
+//! point costs (a 9-die HBM stack next to a single 2D die) cannot
+//! leave a thread starved. The final ranking sorts by (life-cycle
+//! total, plan index), so the output is **byte-identical for any
+//! worker count**, including the serial fast path.
 
 use super::batch::{self, BatchEngine, BatchRanking};
-use super::cache::{EvalCache, PipelineStats, PipelineTally, StageTags};
-use super::plan::{SweepPlan, SweepPoint};
+use super::cache::{EvalCache, PipelineStats};
+use super::plan::SweepPlan;
 use super::SweepEntry;
 use crate::error::ModelError;
 use crate::model::CarbonModel;
 use crate::operational::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Plans smaller than this default take the serial fast path no matter
 /// how many workers are configured: below a few hundred points the
@@ -37,23 +36,20 @@ pub struct SweepStats {
     pub evaluated: usize,
     /// Points dropped because their dies outgrow the wafer.
     pub dropped: usize,
-    /// Points whose every pipeline stage was answered from the cache
-    /// (or, on the batch path, from the plan's warm stage columns).
+    /// Points whose every pipeline stage was answered from the plan's
+    /// stage columns or the cache.
     pub cache_hits: usize,
     /// Points that had to run at least one pipeline stage.
     pub cache_misses: usize,
     /// Worker threads actually used (1 = serial fast path).
     pub workers: usize,
-    /// Whether the batch fast path
-    /// ([`SweepExecutor::execute_batched`]) produced this result.
-    pub batch: bool,
     /// Stage recomputations *and* keyed cache lookups skipped because
-    /// the batch path answered the stage structurally from its
-    /// plan-aligned columns (0 on the per-point path).
+    /// the engine answered the stage structurally from its
+    /// plan-aligned columns.
     pub delta_skips: u64,
-    /// Per-stage hit/miss counters of exactly this call's lookups
-    /// (tallied per call, so the numbers stay correct even when
-    /// concurrent `execute` calls share one executor).
+    /// Per-stage hit/miss counters of exactly this call (column hits
+    /// plus this call's keyed lookups, tallied per call so the numbers
+    /// stay correct even when concurrent calls share one executor).
     pub stages: PipelineStats,
 }
 
@@ -89,13 +85,6 @@ impl SweepResult {
     pub fn best(&self) -> Option<&SweepEntry> {
         self.entries.iter().find(|e| e.is_viable())
     }
-}
-
-/// What one point produced (private merge currency).
-enum PointOutcome {
-    Entry(Box<SweepEntry>),
-    Dropped,
-    Failed(ModelError),
 }
 
 /// Evaluates [`SweepPlan`]s over a worker pool with memoization.
@@ -173,8 +162,8 @@ impl SweepExecutor {
     }
 
     /// Replaces the executor's cache with one capped at `cap` artifacts
-    /// per stage (see [`EvalCache::with_artifact_cap`]); the batch
-    /// path's per-plan stage columns obey the same cap. Intended at
+    /// per stage (see [`EvalCache::with_artifact_cap`]); the engine's
+    /// per-plan stage columns obey the same cap. Intended at
     /// construction time — any already-cached artifacts are dropped.
     #[must_use]
     pub fn artifact_cap(mut self, cap: usize) -> Self {
@@ -196,7 +185,7 @@ impl SweepExecutor {
         &self.cache
     }
 
-    /// The batch engine holding the current plan's stage columns.
+    /// The engine holding the current plan's stage columns.
     pub(crate) fn engine(&self) -> &BatchEngine {
         &self.engine
     }
@@ -217,9 +206,15 @@ impl SweepExecutor {
     }
 
     /// Evaluates every point of `plan` under (`model`, `workload`)
-    /// and returns the ranked result. The memoization cache persists
-    /// across calls for the same model and workload and is invalidated
-    /// automatically when either changes.
+    /// and returns the ranked result.
+    ///
+    /// The plan is lowered into stage columns that persist on this
+    /// executor, so a re-execution (or an execution that changes only
+    /// downstream axes) recomputes exactly the stages whose context
+    /// slice changed — no per-point keyed lookups on the warm path.
+    /// Columns belong to one plan at a time (the most recent);
+    /// switching plans falls back to the shared [`EvalCache`], which
+    /// persists across calls and configurations.
     ///
     /// # Errors
     ///
@@ -232,138 +227,6 @@ impl SweepExecutor {
     /// Panics if a worker thread panics (model evaluation itself never
     /// panics for plan-constructed designs).
     pub fn execute(
-        &self,
-        model: &CarbonModel,
-        plan: &SweepPlan,
-        workload: &Workload,
-    ) -> Result<SweepResult, ModelError> {
-        let _obs = tdc_obs::span("sweep.execute");
-        if tdc_obs::enabled() {
-            tdc_obs::metrics::SWEEP_EXECUTE_CALLS.inc();
-            tdc_obs::metrics::SWEEP_POINTS.add(plan.points().len() as u64);
-        }
-        // Per-stage namespace tags: each hashes only the input slices
-        // that stage reads, so a configuration change invalidates
-        // exactly the stages it touches. The tags are baked into every
-        // key, so entries from one configuration can never answer
-        // another's lookups, even when concurrent `execute` calls race
-        // on a shared executor.
-        let tags = EvalCache::stage_tags(model, Some(workload));
-        // Per-call tally: every lookup this call makes is counted here
-        // as well as on the cache's cumulative counters, so the
-        // reported per-stage stats are exact even when other `execute`
-        // calls share this executor concurrently.
-        let tally = PipelineTally::default();
-        let points = plan.points();
-        let workers = self.resolve_workers(points.len());
-
-        let mut slots: Vec<Option<(PointOutcome, bool)>> = Vec::new();
-        if workers <= 1 {
-            for point in points {
-                slots.push(Some(self.eval_point(&tags, model, point, workload, &tally)));
-            }
-        } else {
-            slots.resize_with(points.len(), || None);
-            // Chunked work-stealing: each steal claims a contiguous
-            // index range, so workers synchronize once per chunk
-            // instead of once per point. Idle workers still rebalance
-            // — a worker stuck on an expensive chunk simply steals
-            // fewer of the remaining ones.
-            let chunk = chunk_size(points.len(), workers);
-            let cursor = AtomicUsize::new(0);
-            let mut collected: Vec<Vec<(usize, (PointOutcome, bool))>> =
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for _ in 0..workers {
-                        let cursor = &cursor;
-                        let tags = &tags;
-                        let tally = &tally;
-                        handles.push(scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                if start >= points.len() {
-                                    break;
-                                }
-                                let end = (start + chunk).min(points.len());
-                                for (i, point) in points[start..end]
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(o, p)| (start + o, p))
-                                {
-                                    local.push((
-                                        i,
-                                        self.eval_point(tags, model, point, workload, tally),
-                                    ));
-                                }
-                            }
-                            local
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker panicked"))
-                        .collect()
-                });
-            for (i, outcome) in collected.drain(..).flatten() {
-                slots[i] = Some(outcome);
-            }
-        }
-
-        let mut stats = SweepStats {
-            points: points.len(),
-            workers,
-            stages: tally.snapshot(),
-            ..SweepStats::default()
-        };
-        let mut ranked: Vec<(usize, SweepEntry)> = Vec::with_capacity(points.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (outcome, was_hit) = slot.expect("every point is evaluated exactly once");
-            if was_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            match outcome {
-                PointOutcome::Entry(entry) => {
-                    stats.evaluated += 1;
-                    ranked.push((i, *entry));
-                }
-                PointOutcome::Dropped => stats.dropped += 1,
-                // Lowest plan index wins: `slots` is scanned in order.
-                PointOutcome::Failed(e) => return Err(e),
-            }
-        }
-        ranked.sort_by(|(ia, a), (ib, b)| {
-            a.report
-                .total()
-                .kg()
-                .total_cmp(&b.report.total().kg())
-                .then(ia.cmp(ib))
-        });
-        Ok(SweepResult {
-            entries: ranked.into_iter().map(|(_, e)| e).collect(),
-            stats,
-        })
-    }
-
-    /// Evaluates every point of `plan` through the batch fast path:
-    /// the plan is lowered into structure-of-arrays stage columns that
-    /// persist on this executor, so a re-execution (or an execution
-    /// that changes only downstream axes) recomputes exactly the
-    /// stages whose context slice changed — no per-point keyed cache
-    /// lookups on the warm path. Output is byte-identical to
-    /// [`execute`](Self::execute) for any worker count.
-    ///
-    /// Stage columns belong to one plan at a time (the most recent);
-    /// switching plans falls back to the shared [`EvalCache`], so
-    /// alternating plans is never worse than the per-point path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ModelError`] of the lowest-indexed failing point,
-    /// exactly like [`execute`](Self::execute).
-    pub fn execute_batched(
         &self,
         model: &CarbonModel,
         plan: &SweepPlan,
@@ -385,9 +248,9 @@ impl SweepExecutor {
         })
     }
 
-    /// The non-materializing batch path: ranks `plan`'s points by
-    /// life-cycle total into the caller-owned `out` buffer without
-    /// building [`SweepEntry`] values at all. On a warm plan (stage
+    /// The non-materializing variant of [`execute`](Self::execute):
+    /// ranks `plan`'s points by life-cycle total into the caller-owned
+    /// `out` buffer without building [`SweepEntry`] values at all. On a warm plan (stage
     /// columns already filled) this performs **zero heap allocations
     /// per point** — reuse one [`BatchRanking`] across calls to keep
     /// its buffers warm. The ranking order (total, then plan index) is
@@ -406,43 +269,6 @@ impl SweepExecutor {
     ) -> Result<(), ModelError> {
         batch::run(self, model, plan, workload, out, None)
     }
-
-    /// Evaluates one point via the per-stage cache; the bool is the
-    /// every-stage-hit flag.
-    fn eval_point(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        point: &SweepPoint,
-        workload: &Workload,
-        tally: &PipelineTally,
-    ) -> (PointOutcome, bool) {
-        match self
-            .cache
-            .lifecycle_or_eval(tags, model, point.design(), workload, tally)
-        {
-            Ok((Some(report), hit)) => (
-                PointOutcome::Entry(Box::new(SweepEntry {
-                    label: point.label().to_owned(),
-                    node: point.node(),
-                    technology: point.technology(),
-                    design: point.design().clone(),
-                    report,
-                })),
-                hit,
-            ),
-            Ok((None, hit)) => (PointOutcome::Dropped, hit),
-            Err(e) => (PointOutcome::Failed(e), false),
-        }
-    }
-}
-
-/// The contiguous index range one steal claims: small enough that 8
-/// workers rebalance a skewed plan (~8 steals each), large enough that
-/// synchronization is paid once per dozens of points, capped so huge
-/// plans still rebalance.
-pub(crate) fn chunk_size(points: usize, workers: usize) -> usize {
-    (points / (workers * 8).max(1)).clamp(16, 4096)
 }
 
 #[cfg(test)]
@@ -465,18 +291,50 @@ mod tests {
         )
     }
 
+    /// The per-point reference: [`CarbonModel::lifecycle`] on every
+    /// point, oversized points dropped, ranked by (total, plan index).
+    fn oracle(m: &CarbonModel, plan: &SweepPlan, w: &Workload) -> Vec<SweepEntry> {
+        let mut ranked: Vec<(usize, SweepEntry)> = Vec::new();
+        for (i, point) in plan.points().iter().enumerate() {
+            match m.lifecycle(point.design(), w) {
+                Ok(report) => ranked.push((
+                    i,
+                    SweepEntry {
+                        label: point.label().to_owned(),
+                        node: point.node(),
+                        technology: point.technology(),
+                        design: point.design().clone(),
+                        report,
+                    },
+                )),
+                Err(ModelError::DieExceedsWafer { .. }) => {}
+                Err(e) => panic!("reference evaluation failed: {e}"),
+            }
+        }
+        ranked.sort_by(|(ia, a), (ib, b)| {
+            a.report
+                .total()
+                .kg()
+                .total_cmp(&b.report.total().kg())
+                .then(ia.cmp(ib))
+        });
+        ranked.into_iter().map(|(_, e)| e).collect()
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
         let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7, ProcessNode::N5]);
         let plan = sweep.plan().unwrap();
         let (m, w) = (model(), workload());
+        let expected = oracle(&m, &plan, &w);
         let serial = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+        assert_eq!(serial.entries(), expected.as_slice());
         for workers in [2, 3, 8] {
             let parallel = SweepExecutor::new(workers)
                 .parallel_threshold(0)
                 .execute(&m, &plan, &w)
                 .unwrap();
-            assert_eq!(serial.entries(), parallel.entries(), "{workers} workers");
+            assert_eq!(parallel.entries(), expected.as_slice(), "{workers} workers");
         }
     }
 
@@ -501,12 +359,7 @@ mod tests {
             .unwrap();
         assert_eq!(forced.stats().workers, 8, "threshold 0 disables the clamp");
         assert_eq!(clamped.entries(), forced.entries());
-        // The batch path obeys the same clamp.
-        let batched = SweepExecutor::new(8)
-            .execute_batched(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(batched.stats().workers, 1);
-        assert_eq!(batched.entries(), clamped.entries());
+        assert_eq!(clamped.entries(), oracle(&m, &plan, &w).as_slice());
     }
 
     #[test]
@@ -525,6 +378,7 @@ mod tests {
         // A cold run computes every stage once per point and hits
         // nothing.
         assert_eq!(s.stages.hits(), 0);
+        assert_eq!(s.delta_skips, 0);
         assert_eq!(s.stages.embodied.misses as usize, s.points);
         assert_eq!(s.stages.operational.misses as usize, s.points);
     }
@@ -539,6 +393,7 @@ mod tests {
         let second = executor.execute(&m, &plan, &w).unwrap();
         assert_eq!(second.stats().cache_hits, plan.len());
         assert_eq!(second.stats().cache_misses, 0);
+        assert_eq!(second.stats().stages.misses(), 0);
         assert_eq!(first.entries(), second.entries());
     }
 
@@ -564,9 +419,9 @@ mod tests {
         assert_eq!(s.stages.embodied.misses, 0);
         assert_eq!(s.stages.operational.misses as usize, plan.len());
         assert_eq!(s.stages.physical.hits as usize, plan.len());
-        // And the results match a fresh, uncached executor exactly.
-        let fresh = SweepExecutor::serial().execute(&m, &plan, &other).unwrap();
-        assert_eq!(result.entries(), fresh.entries());
+        assert_eq!(s.stages.misses() as usize, plan.len());
+        // And the results match the per-point reference exactly.
+        assert_eq!(result.entries(), oracle(&m, &plan, &other).as_slice());
     }
 
     #[test]
@@ -631,6 +486,7 @@ mod tests {
             ["z-first", "a-second", "m-third"],
             "tied entries must keep plan order"
         );
+        assert_eq!(serial.entries(), oracle(&m, &plan, &w).as_slice());
         for workers in [2, 3, 8] {
             let parallel = SweepExecutor::new(workers)
                 .parallel_threshold(0)

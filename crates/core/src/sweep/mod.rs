@@ -10,11 +10,13 @@
 //! * [`SweepPlan`] — the fully-enumerated, deterministically-indexed
 //!   list of [`SweepPoint`]s the builder expands into;
 //! * [`SweepExecutor`] — evaluates a plan, either serially or on a
-//!   pool of worker threads, with [`EvalCache`] memoizing every
-//!   artifact of the staged pipeline (geometry, yield, embodied,
-//!   power, operational) under stage-specific keys, so points — and
-//!   successive `execute` calls — that differ only in downstream axes
-//!   reuse every upstream artifact;
+//!   pool of worker threads, through one engine: per-stage columns
+//!   aligned with the plan's points, backed by [`EvalCache`], which
+//!   memoizes every artifact of the staged pipeline (geometry, yield,
+//!   embodied, power, operational) under stage-specific tags and a
+//!   shared [`DesignKey`] per point, so points — and successive
+//!   `execute` calls — that differ only in downstream axes reuse
+//!   every upstream artifact;
 //! * [`SweepResult`] — the ranked [`SweepEntry`] list plus
 //!   [`SweepStats`] bookkeeping (per-point and per-stage cache hits,
 //!   dropped points, workers).
@@ -39,7 +41,9 @@ mod executor;
 mod plan;
 
 pub use batch::{BatchRanking, RankedPoint};
-pub use cache::{CacheStats, EvalCache, PipelineStats, ShardStats, StageCounters, SHARD_COUNT};
+pub use cache::{
+    CacheStats, DesignKey, EvalCache, PipelineStats, ShardStats, StageCounters, SHARD_COUNT,
+};
 pub use executor::{SweepExecutor, SweepResult, SweepStats};
 pub use plan::{SweepPlan, SweepPoint};
 

@@ -7,9 +7,10 @@
 //! report results in index order no matter how many workers evaluated
 //! them.
 
+use super::cache::DesignKey;
 use crate::design::ChipDesign;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tdc_integration::IntegrationTechnology;
 use tdc_technode::ProcessNode;
 
@@ -89,17 +90,17 @@ impl SweepPoint {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPlan {
     points: Vec<SweepPoint>,
-    /// Design-sequence fingerprint, computed lazily on the first batch
-    /// execution and carried with the plan from then on — the batch
-    /// fast path identifies its resident plan on *every* call, so
-    /// re-hashing per call would tax the warm loop. Clones share the
-    /// computed value; deserialized plans recompute on first use.
+    /// One [`DesignKey`] per point, built on the first execution and
+    /// carried with the plan from then on: the engine identifies its
+    /// resident plan by them on *every* call, and every cache entry
+    /// computed for a point shares its key. Clones share the built
+    /// keys; deserialized plans rebuild them on first use.
     #[serde(skip)]
-    fingerprint: OnceLock<(usize, u64, u64)>,
+    keys: OnceLock<Arc<[Arc<DesignKey>]>>,
 }
 
 // Manual impl (can't be derived next to `OnceLock`): plans are equal
-// iff their point lists are — the cached fingerprint is pure memo.
+// iff their point lists are — the cached keys are pure memo.
 impl PartialEq for SweepPlan {
     fn eq(&self, other: &Self) -> bool {
         self.points == other.points
@@ -120,16 +121,18 @@ impl SweepPlan {
         }
         Self {
             points,
-            fingerprint: OnceLock::new(),
+            keys: OnceLock::new(),
         }
     }
 
-    /// The plan's design-sequence fingerprint (memoized; see the field
-    /// doc).
-    pub(crate) fn fingerprint(&self) -> (usize, u64, u64) {
-        *self
-            .fingerprint
-            .get_or_init(|| super::batch::compute_plan_fingerprint(self))
+    /// The design key of every point, in index order (memoized; see
+    /// the field doc).
+    pub(crate) fn keys(&self) -> &Arc<[Arc<DesignKey>]> {
+        self.keys.get_or_init(|| {
+            self.designs()
+                .map(|design| Arc::new(DesignKey::new(design)))
+                .collect()
+        })
     }
 
     /// The enumerated points, in evaluation-index order.
@@ -139,9 +142,9 @@ impl SweepPlan {
     }
 
     /// The designs of every point, in index order. This sequence is
-    /// exactly what the batch executor fingerprints a plan by: labels
-    /// and axis metadata are presentation, the designs are what the
-    /// pipeline evaluates.
+    /// exactly what the executor identifies a plan by: labels and axis
+    /// metadata are presentation, the designs are what the pipeline
+    /// evaluates.
     pub fn designs(&self) -> impl Iterator<Item = &ChipDesign> + '_ {
         self.points.iter().map(SweepPoint::design)
     }

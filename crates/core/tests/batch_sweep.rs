@@ -1,10 +1,13 @@
-//! Integration tests for the batch-evaluation fast path
-//! (`sweep::batch`): byte-identity against the staged per-point path
-//! (cold, warm, any worker count, tiny artifact caps, plan switches,
-//! oversized drops), delta-eval accounting when only downstream axes
-//! change, and a property test over randomized plans, worker counts,
-//! and configuration sequences.
+//! Integration tests for the sweep engine (`sweep::batch`, behind
+//! `SweepExecutor::execute`): bit-identity against a per-point
+//! `CarbonModel::lifecycle` reference (cold, warm, any worker count,
+//! tiny artifact caps, plan switches, oversized drops), delta-eval
+//! accounting when only downstream axes change, and a property test
+//! over randomized plans, worker counts, and configuration sequences.
 
+mod common;
+
+use common::lifecycle_reference;
 use proptest::prelude::*;
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor, SweepPlan};
 use tdc_core::{CarbonModel, ModelContext, Workload};
@@ -44,23 +47,22 @@ fn table2_plan() -> SweepPlan {
 fn batch_is_byte_identical_to_per_point_cold_and_warm() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(254.0));
-    let staged = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let reference = lifecycle_reference(&m, &plan, &w).entries;
 
     let executor = SweepExecutor::serial();
-    let cold = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), cold.entries());
-    assert!(cold.stats().batch);
-    assert!(!staged.stats().batch);
-    // Cold stats match the per-point path's accounting: nothing warm,
-    // same per-stage miss counts.
+    let cold = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(reference, cold.entries());
+    // Cold accounting: nothing warm, every stage computed once per
+    // point.
     assert_eq!(cold.stats().cache_hits, 0);
     assert_eq!(cold.stats().cache_misses, plan.len());
-    assert_eq!(cold.stats().stages, staged.stats().stages);
+    assert_eq!(cold.stats().stages.hits(), 0);
+    assert_eq!(cold.stats().stages.misses() as usize, 5 * plan.len());
     assert_eq!(cold.stats().delta_skips, 0);
 
     // Re-execution is answered entirely from the plan's stage columns.
-    let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), warm.entries());
+    let warm = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(reference, warm.entries());
     assert_eq!(warm.stats().cache_hits, plan.len());
     assert_eq!(warm.stats().cache_misses, 0);
     assert!(warm.stats().delta_skips > 0);
@@ -71,14 +73,28 @@ fn batch_is_byte_identical_to_per_point_cold_and_warm() {
 fn batch_is_byte_identical_under_any_worker_count() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(100.0));
-    let reference = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-    for workers in [2, 3, 8] {
-        let result = SweepExecutor::new(workers)
-            .parallel_threshold(0)
-            .execute_batched(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(reference.entries(), result.entries(), "{workers} workers");
+    let reference = lifecycle_reference(&m, &plan, &w).entries;
+    let reference_totals: Vec<u64> = reference
+        .iter()
+        .map(|e| e.report.total().kg().to_bits())
+        .collect();
+    for workers in [1, 2, 3, 8] {
+        let executor = SweepExecutor::new(workers).parallel_threshold(0);
+        let result = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(reference, result.entries(), "{workers} workers");
         assert_eq!(result.stats().workers, workers);
+        // The ranking API's totals are the reference totals, bit for
+        // bit, in the same order.
+        let mut ranking = BatchRanking::new();
+        executor
+            .execute_batched_ranking(&m, &plan, &w, &mut ranking)
+            .unwrap();
+        let totals: Vec<u64> = ranking
+            .ranked()
+            .iter()
+            .map(|r| r.total_kg.to_bits())
+            .collect();
+        assert_eq!(reference_totals, totals, "{workers} workers");
     }
 }
 
@@ -86,22 +102,26 @@ fn batch_is_byte_identical_under_any_worker_count() {
 fn tiny_artifact_cap_still_yields_byte_identical_output() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(150.0));
-    let reference = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let reference = lifecycle_reference(&m, &plan, &w).entries;
     for cap in [1, 2, 7] {
         let executor = SweepExecutor::serial().artifact_cap(cap);
-        let first = executor.execute_batched(&m, &plan, &w).unwrap();
-        assert_eq!(reference.entries(), first.entries(), "cap {cap} cold");
+        let first = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(reference, first.entries(), "cap {cap} cold");
         // Columns outlive the evicted keyed artifacts, so the rerun is
         // still warm — and still identical.
-        let second = executor.execute_batched(&m, &plan, &w).unwrap();
-        assert_eq!(reference.entries(), second.entries(), "cap {cap} warm");
+        let second = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(reference, second.entries(), "cap {cap} warm");
         assert_eq!(second.stats().cache_hits, plan.len(), "cap {cap} warm");
-        // The per-point path under the same tiny cap agrees too.
-        let per_point = SweepExecutor::serial()
-            .artifact_cap(cap)
-            .execute(&m, &plan, &w)
+        // A second plan evicts the first one's columns; with a tiny cap
+        // the keyed store has lost most artifacts too, and the result
+        // is still identical.
+        let other = DesignSweep::new(9.0e9)
+            .nodes(vec![ProcessNode::N7])
+            .plan()
             .unwrap();
-        assert_eq!(reference.entries(), per_point.entries(), "cap {cap}");
+        executor.execute(&m, &other, &w).unwrap();
+        let third = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(reference, third.entries(), "cap {cap} after switch");
     }
 }
 
@@ -117,20 +137,14 @@ fn switching_plans_resets_columns_but_not_correctness() {
         .nodes(vec![ProcessNode::N5])
         .plan()
         .unwrap();
-    let ref_a = SweepExecutor::serial().execute(&m, &a, &w).unwrap();
-    let ref_b = SweepExecutor::serial().execute(&m, &b, &w).unwrap();
-    assert_eq!(
-        ref_a.entries(),
-        executor.execute_batched(&m, &a, &w).unwrap().entries()
-    );
-    assert_eq!(
-        ref_b.entries(),
-        executor.execute_batched(&m, &b, &w).unwrap().entries()
-    );
+    let ref_a = lifecycle_reference(&m, &a, &w).entries;
+    let ref_b = lifecycle_reference(&m, &b, &w).entries;
+    assert_eq!(ref_a, executor.execute(&m, &a, &w).unwrap().entries());
+    assert_eq!(ref_b, executor.execute(&m, &b, &w).unwrap().entries());
     // Back to plan A: its columns were dropped at the switch, but the
     // keyed cache still answers every stage — no recomputation.
-    let again = executor.execute_batched(&m, &a, &w).unwrap();
-    assert_eq!(ref_a.entries(), again.entries());
+    let again = executor.execute(&m, &a, &w).unwrap();
+    assert_eq!(ref_a, again.entries());
     assert_eq!(again.stats().cache_hits, a.len());
     assert_eq!(again.stats().stages.misses(), 0);
 }
@@ -139,18 +153,18 @@ fn switching_plans_resets_columns_but_not_correctness() {
 fn oversized_points_drop_identically_on_both_paths() {
     // A huge gate budget on the oldest nodes makes some dies outgrow
     // the wafer; those points must be dropped, not errored, and the
-    // batch path must drop exactly the same set.
+    // engine must drop exactly the set the reference rejects.
     let plan = DesignSweep::new(60.0e9).plan().unwrap();
     let (m, w) = (model(), workload(100.0));
-    let staged = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-    assert!(staged.stats().dropped > 0, "test needs oversized points");
+    let reference = lifecycle_reference(&m, &plan, &w);
+    assert!(reference.dropped > 0, "test needs oversized points");
     let executor = SweepExecutor::serial();
-    let batch = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), batch.entries());
-    assert_eq!(staged.stats().dropped, batch.stats().dropped);
+    let batch = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(reference.entries, batch.entries());
+    assert_eq!(reference.dropped, batch.stats().dropped);
     // Warm rerun: drops are remembered structurally.
-    let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), warm.entries());
+    let warm = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(reference.entries, warm.entries());
     assert_eq!(warm.stats().dropped, batch.stats().dropped);
     assert_eq!(warm.stats().cache_hits, plan.len());
 }
@@ -166,20 +180,20 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
     let w = workload(254.0);
     let executor = SweepExecutor::serial();
     let reference = executor
-        .execute_batched(&region_model(REGIONS[0]), &plan, &w)
+        .execute(&region_model(REGIONS[0]), &plan, &w)
         .unwrap();
     for region in &REGIONS[1..] {
         let m = region_model(*region);
-        let result = executor.execute_batched(&m, &plan, &w).unwrap();
+        let result = executor.execute(&m, &plan, &w).unwrap();
         let stages = result.stats().stages;
         assert_eq!(stages.embodied.misses, 0, "{region:?}");
         assert_eq!(stages.physical.misses, 0, "{region:?}");
         assert_eq!(stages.yields.misses, 0, "{region:?}");
         assert_eq!(stages.operational.misses as usize, plan.len(), "{region:?}");
         assert!(result.stats().delta_skips > 0, "{region:?}");
-        // And the output still matches a fresh per-point evaluation.
-        let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-        assert_eq!(fresh.entries(), result.entries(), "{region:?}");
+        // And the output still matches the per-point reference.
+        let fresh = lifecycle_reference(&m, &plan, &w).entries;
+        assert_eq!(fresh, result.entries(), "{region:?}");
         assert_ne!(reference.entries(), result.entries(), "{region:?}");
     }
 }
@@ -189,7 +203,7 @@ fn ranking_api_matches_materialized_entries() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(254.0));
     let executor = SweepExecutor::serial();
-    let materialized = executor.execute_batched(&m, &plan, &w).unwrap();
+    let materialized = executor.execute(&m, &plan, &w).unwrap();
     let mut ranking = BatchRanking::new();
     executor
         .execute_batched_ranking(&m, &plan, &w, &mut ranking)
@@ -201,7 +215,6 @@ fn ranking_api_matches_materialized_entries() {
         assert_eq!(point.label(), entry.label);
         assert!(ranked.total_kg == entry.report.total().kg());
     }
-    assert!(ranking.stats().batch);
     assert_eq!(ranking.stats().cache_hits, plan.len());
 }
 
@@ -209,8 +222,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Randomized plans × configuration sequences × worker counts:
-    /// every batch execution (including warm reruns mid-sequence) is
-    /// byte-identical to a fresh-process serial per-point sweep.
+    /// every execution (including warm reruns mid-sequence) is
+    /// bit-identical to the per-point `CarbonModel::lifecycle`
+    /// reference.
     #[test]
     fn batch_matches_fresh_per_point_on_random_streams(
         gates in 2.0e9..40.0e9f64,
@@ -226,13 +240,13 @@ proptest! {
         for (region_idx, tops) in region_picks.iter().zip(&tops_picks) {
             let m = region_model(REGIONS[*region_idx]);
             let w = workload(*tops);
-            let batch = executor.execute_batched(&m, &plan, &w).unwrap();
-            let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-            prop_assert_eq!(fresh.entries(), batch.entries());
+            let batch = executor.execute(&m, &plan, &w).unwrap();
+            let fresh = lifecycle_reference(&m, &plan, &w).entries;
+            prop_assert_eq!(&fresh, batch.entries());
             // Immediate warm rerun: columns answer everything, output
             // is unchanged.
-            let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-            prop_assert_eq!(fresh.entries(), warm.entries());
+            let warm = executor.execute(&m, &plan, &w).unwrap();
+            prop_assert_eq!(&fresh, warm.entries());
             prop_assert_eq!(warm.stats().cache_hits, plan.len());
         }
     }

@@ -10,6 +10,9 @@
 //! process-global, and a sibling test recording spans concurrently
 //! would interleave its records into the measurement.
 
+mod common;
+
+use common::lifecycle_reference;
 use tdc_core::sweep::{DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
 use tdc_technode::ProcessNode;
@@ -34,11 +37,16 @@ fn spans_stay_well_nested_for_any_worker_count() {
         // this sub-threshold plan, so workers > 1 really record from
         // multiple threads.
         let executor = SweepExecutor::new(workers).parallel_threshold(0);
-        executor.execute(&model, &plan, &workload).unwrap();
+        let result = executor.execute(&model, &plan, &workload).unwrap();
         let spans = tdc_obs::take_spans();
+        assert_eq!(
+            lifecycle_reference(&model, &plan, &workload).entries,
+            result.entries(),
+            "workers={workers}: recording spans changed the result"
+        );
         assert!(
-            spans.iter().any(|s| s.name == "sweep.execute"),
-            "workers={workers}: no sweep.execute span recorded"
+            spans.iter().any(|s| s.name == "sweep.execute_batched"),
+            "workers={workers}: no sweep.execute_batched span recorded"
         );
         assert!(
             spans.iter().any(|s| s.name.starts_with("stage.")),

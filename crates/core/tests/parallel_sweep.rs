@@ -1,8 +1,12 @@
-//! Integration tests for the parallel sweep executor: determinism
-//! under 1/2/8 workers, cache-hit accounting, and a property test that
-//! parallel and serial sweeps produce identical `SweepEntry` orderings
-//! for arbitrary gate budgets and axis subsets.
+//! Integration tests for the parallel sweep executor: bit-identity
+//! with the per-point `CarbonModel::lifecycle` reference under 1/2/8
+//! workers, cache-hit accounting, and a property test that parallel
+//! and serial sweeps produce identical `SweepEntry` orderings for
+//! arbitrary gate budgets and axis subsets.
 
+mod common;
+
+use common::lifecycle_reference;
 use proptest::prelude::*;
 use tdc_core::sweep::{DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
@@ -27,8 +31,10 @@ fn determinism_under_1_2_8_workers() {
     let sweep = DesignSweep::new(12.0e9).tier_counts(vec![2, 4]);
     let plan = sweep.plan().unwrap();
     let (m, w) = (model(), workload(100.0));
-    let reference = SweepExecutor::new(1).execute(&m, &plan, &w).unwrap();
-    assert!(!reference.entries().is_empty());
+    let reference = lifecycle_reference(&m, &plan, &w).entries;
+    assert!(!reference.is_empty());
+    let serial = SweepExecutor::new(1).execute(&m, &plan, &w).unwrap();
+    assert_eq!(reference, serial.entries());
     for workers in [2, 8] {
         // parallel_threshold(0) disables the small-plan serial clamp so
         // the requested pool size is exercised even on this tiny plan.
@@ -38,7 +44,7 @@ fn determinism_under_1_2_8_workers() {
             .unwrap();
         // Full structural equality — labels, designs, and every f64 of
         // every report — not just the ranking order.
-        assert_eq!(reference.entries(), result.entries(), "{workers} workers");
+        assert_eq!(reference, result.entries(), "{workers} workers");
         assert_eq!(result.stats().workers, workers.min(plan.len()));
     }
 }
@@ -50,6 +56,10 @@ fn serial_run_and_parallel_run_match_via_builder_api() {
     let serial = sweep.run(&m, &w).unwrap();
     let parallel = sweep.run_parallel(&m, &w, 8).unwrap();
     assert_eq!(serial, parallel.into_entries());
+    assert_eq!(
+        serial,
+        lifecycle_reference(&m, &sweep.plan().unwrap(), &w).entries
+    );
 }
 
 #[test]
@@ -71,12 +81,14 @@ fn cache_hits_are_counted_for_repeated_points() {
     assert_eq!(second.stats().cache_hits, plan.len());
     assert_eq!(second.stats().cache_misses, 0);
     assert_eq!(first.entries(), second.entries());
-    // The executor-level cache agrees: a warm pass answers both
-    // artifact heads (embodied + operational) per point.
-    let cache = executor.cache().stats();
-    assert_eq!(cache.stages.embodied.hits as usize, plan.len());
-    assert_eq!(cache.stages.operational.hits as usize, plan.len());
-    assert!(cache.hit_rate() > 0.0);
+    // The re-execution's own per-stage counters agree: the warm pass
+    // answers both artifact heads (embodied + operational) per point
+    // from the plan's columns and computes nothing.
+    let warm = second.stats().stages;
+    assert_eq!(warm.embodied.hits as usize, plan.len());
+    assert_eq!(warm.operational.hits as usize, plan.len());
+    assert_eq!(warm.misses(), 0);
+    assert!((warm.warm_hit_rate() - 1.0).abs() < 1e-12);
 
     // A *different* workload re-prices the operational stage — no
     // point is fully cached — but embodied artifacts are reused.
@@ -136,6 +148,7 @@ fn duplicated_axis_entries_tie_exactly_and_rank_byte_identically() {
     assert_eq!(plan.len(), 5);
     let (m, w) = (model(), workload(100.0));
     let serial = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    assert_eq!(lifecycle_reference(&m, &plan, &w).entries, serial.entries());
     // The duplicated points really are exact ties…
     let emib: Vec<_> = serial
         .entries()

@@ -3,7 +3,7 @@
 //! The headline property (ISSUE 8 satellite): a *constant-valued*
 //! trace prices operational carbon **byte-identically** to the scalar
 //! `average_utilization` path — over randomized designs, contexts,
-//! worker counts, cold and warm, per-point and batched. Plus: an
+//! worker counts, cold and warm. Plus: an
 //! intensity-column trace holding a region's published g/kWh figure
 //! matches that region bitwise, varying traces actually move the
 //! answer, and trace workloads share every workload-independent stage
@@ -84,16 +84,14 @@ proptest! {
         };
         // Round 1 is cold, round 2 answers from the warm artifacts.
         for round in 1..=2 {
-            let per_point = exec.execute(&model, &plan, &traced).unwrap();
-            prop_assert_eq!(reference.entries(), per_point.entries(), "per-point round {}", round);
-            let batched = exec.execute_batched(&model, &plan, &traced).unwrap();
-            prop_assert_eq!(reference.entries(), batched.entries(), "batched round {}", round);
+            let swept = exec.execute(&model, &plan, &traced).unwrap();
+            prop_assert_eq!(reference.entries(), swept.entries(), "round {}", round);
             // Value equality could hide sign/ulp drift; the Debug
             // rendering is shortest-roundtrip, so string equality is
             // bit equality.
             prop_assert_eq!(
                 format!("{:?}", reference.entries()),
-                format!("{:?}", batched.entries())
+                format!("{:?}", swept.entries())
             );
         }
     }
@@ -163,7 +161,7 @@ fn varying_traces_move_the_answer_and_rank_identically_everywhere() {
         executor
             .execute_batched_ranking(&model, &plan, &traced, &mut ranking)
             .unwrap();
-        let batched = executor.execute_batched(&model, &plan, &traced).unwrap();
+        let batched = executor.execute(&model, &plan, &traced).unwrap();
         assert_eq!(reference.entries(), batched.entries(), "{workers} workers");
         assert_eq!(
             ranking.ranked().len(),

@@ -252,14 +252,13 @@ pub static STAGE_POWER_NS: Histogram = Histogram::new();
 /// See [`STAGE_PHYSICAL_NS`].
 pub static STAGE_OPERATIONAL_NS: Histogram = Histogram::new();
 
-/// Per-point-path `SweepExecutor::execute` calls.
-pub static SWEEP_EXECUTE_CALLS: Counter = Counter::new();
-/// Batch-path (`execute_batched*`) calls.
+/// Sweep-engine calls (`SweepExecutor::execute` and
+/// `execute_batched_ranking`).
 pub static SWEEP_BATCH_CALLS: Counter = Counter::new();
 /// Batch calls answered entirely by warm stage columns (the
 /// zero-allocation fast path).
 pub static SWEEP_BATCH_WARM_CALLS: Counter = Counter::new();
-/// Plan points processed across both sweep paths.
+/// Plan points processed by the sweep engine.
 pub static SWEEP_POINTS: Counter = Counter::new();
 /// Stage recomputations + keyed lookups skipped by plan-aligned
 /// columns (the batch engine's delta-eval).
@@ -352,7 +351,6 @@ pub static CATALOG: &[MetricDef] = &[
     row!("stage.embodied.ns", histogram STAGE_EMBODIED_NS),
     row!("stage.power.ns", histogram STAGE_POWER_NS),
     row!("stage.operational.ns", histogram STAGE_OPERATIONAL_NS),
-    row!("sweep.execute.calls", counter SWEEP_EXECUTE_CALLS),
     row!("sweep.batch.calls", counter SWEEP_BATCH_CALLS),
     row!("sweep.batch.warm_calls", counter SWEEP_BATCH_WARM_CALLS),
     row!("sweep.points", counter SWEEP_POINTS),
