@@ -471,13 +471,23 @@ fn serve_concurrent(
 /// never sits on the request path.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
+/// The longest request frame a TCP connection accepts, in bytes, line
+/// terminator excluded. Real frames are a few hundred bytes; the cap
+/// only bounds what a newline-free stream can make the server buffer.
+/// A longer frame is answered with an error frame (path `frame`) and
+/// the connection is closed.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// An incremental line reader over a read timeout. `BufRead::read_line`
 /// cannot be used on a socket with a read timeout — a timeout mid-line
 /// discards the bytes read so far — so this keeps its own carry buffer
-/// across timeouts.
+/// across timeouts, bounded by [`MAX_FRAME_BYTES`].
 struct TimeoutLines {
     stream: TcpStream,
     carry: Vec<u8>,
+    /// How much of `carry` is known to hold no newline: each byte is
+    /// scanned once, however many reads a long frame takes.
+    scanned: usize,
 }
 
 enum LineEvent {
@@ -486,6 +496,8 @@ enum LineEvent {
     /// The read timed out with no complete line; the caller decides
     /// whether to keep waiting (and can check a stop flag in between).
     Tick,
+    /// The frame being read exceeds [`MAX_FRAME_BYTES`].
+    TooLong,
 }
 
 impl TimeoutLines {
@@ -493,22 +505,33 @@ impl TimeoutLines {
         Self {
             stream,
             carry: Vec::new(),
+            scanned: 0,
         }
     }
 
-    fn take_line(&mut self) -> Option<String> {
-        let nl = self.carry.iter().position(|b| *b == b'\n')?;
+    /// The next complete line of the carry, or [`LineEvent::TooLong`]
+    /// once the frame outgrows the cap.
+    fn take_line(&mut self) -> Option<LineEvent> {
+        let Some(offset) = self.carry[self.scanned..].iter().position(|b| *b == b'\n') else {
+            self.scanned = self.carry.len();
+            return (self.carry.len() > MAX_FRAME_BYTES).then_some(LineEvent::TooLong);
+        };
+        let nl = self.scanned + offset;
+        self.scanned = 0;
         let mut line: Vec<u8> = self.carry.drain(..=nl).collect();
         line.pop(); // the newline
         if line.last() == Some(&b'\r') {
             line.pop();
         }
-        Some(String::from_utf8_lossy(&line).into_owned())
+        if line.len() > MAX_FRAME_BYTES {
+            return Some(LineEvent::TooLong);
+        }
+        Some(LineEvent::Line(String::from_utf8_lossy(&line).into_owned()))
     }
 
     fn next_event(&mut self) -> std::io::Result<LineEvent> {
-        if let Some(line) = self.take_line() {
-            return Ok(LineEvent::Line(line));
+        if let Some(event) = self.take_line() {
+            return Ok(event);
         }
         let mut chunk = [0u8; 4096];
         loop {
@@ -523,8 +546,8 @@ impl TimeoutLines {
                 }
                 Ok(n) => {
                     self.carry.extend_from_slice(&chunk[..n]);
-                    if let Some(line) = self.take_line() {
-                        return Ok(LineEvent::Line(line));
+                    if let Some(event) = self.take_line() {
+                        return Ok(event);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -567,7 +590,8 @@ fn handle_connection(
     };
     let mut lines = TimeoutLines::new(reader);
     let mut output = stream;
-    let mut next_line = move || loop {
+    let too_long = std::cell::Cell::new(false);
+    let mut next_line = || loop {
         match lines.next_event()? {
             LineEvent::Line(line) => return Ok(Some(line)),
             LineEvent::Eof => return Ok(None),
@@ -578,16 +602,38 @@ fn handle_connection(
                     return Ok(None);
                 }
             }
+            // Also a logical end of input: the frames before it are
+            // answered first, then the error frame, then the close.
+            LineEvent::TooLong => {
+                too_long.set(true);
+                return Ok(None);
+            }
         }
     };
-    match serve_lines(
+    let served = serve_lines(
         session,
         client,
         &mut next_line,
         &mut output,
         &mut summary,
         max_inflight,
-    ) {
+    )
+    .and_then(|server_shutdown| {
+        if too_long.get() {
+            let response = error_frame(
+                &JsonValue::Null,
+                Some("frame"),
+                &format!("request frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"),
+            );
+            let (response, _) = answer(session, client, &Frame::Bad { response });
+            summary.frames += 1;
+            summary.errors += 1;
+            writeln!(output, "{response}")?;
+            output.flush()?;
+        }
+        Ok(server_shutdown)
+    });
+    match served {
         Ok(server_shutdown) => (client, summary, server_shutdown, Ok(())),
         Err(e) => (client, summary, false, Err(e)),
     }

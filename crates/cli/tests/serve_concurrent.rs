@@ -9,7 +9,7 @@
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
-use tdc_cli::serve::{serve, serve_listener, ListenSummary};
+use tdc_cli::serve::{serve, serve_listener, ListenSummary, MAX_FRAME_BYTES};
 use tdc_cli::JsonValue;
 use tdc_core::service::ScenarioSession;
 
@@ -334,6 +334,45 @@ fn client_disconnect_mid_request_leaves_other_clients_served() {
         stop_server(addr);
     });
     assert_eq!(summary.connections, 3, "survivor + casualty + control");
+}
+
+/// A client streaming more than [`MAX_FRAME_BYTES`] with no newline
+/// gets one path-named error frame and is disconnected — the server
+/// never buffers an unbounded frame — while another client is still
+/// served byte-identically to a fresh replay.
+#[test]
+fn over_long_frame_is_refused_and_other_clients_stay_served() {
+    let session = ScenarioSession::serial();
+    let stream_lines = random_stream(23, 3);
+    let expected = fresh_replay(&stream_lines);
+    let ((), summary, _stderr) = with_server(&session, 1, |addr| {
+        let mut hostile = Client::connect(addr);
+        // Exactly one byte over the cap, so the server has read all of
+        // it when it answers and the close is a clean EOF.
+        let flood = vec![b'x'; MAX_FRAME_BYTES + 1];
+        hostile.writer.write_all(&flood).expect("floods");
+        hostile.writer.flush().expect("flushes");
+        let refusal = hostile.recv().expect("an error frame before the close");
+        let doc = JsonValue::parse(&refusal).expect("a JSON frame");
+        assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(false)), "{refusal}");
+        let error = doc.get("error").expect("error object");
+        assert_eq!(
+            error.get("path"),
+            Some(&JsonValue::String("frame".to_owned())),
+            "{refusal}"
+        );
+        assert_eq!(hostile.recv(), None, "the connection is closed");
+
+        let mut client = Client::connect(addr);
+        let responses: Vec<String> = stream_lines
+            .iter()
+            .map(|line| client.round_trip(line))
+            .collect();
+        assert_eq!(responses, expected);
+        stop_server(addr);
+    });
+    assert_eq!(summary.connections, 3, "hostile + client + control");
+    assert_eq!(summary.errors, 1, "only the refused frame");
 }
 
 /// A malformed frame mid-stream answers a path-named (or parse) error

@@ -2,12 +2,12 @@
 
 use super::request::{EvalRequest, EvalResponse};
 use crate::error::ModelError;
-use crate::model::CarbonModel;
+use crate::model::{CarbonModel, LifecycleReport};
 use crate::sensitivity::sensitivity_report;
-use crate::sweep::cache::{DesignKey, EvalCache, PipelineStats, PipelineTally};
+use crate::sweep::cache::{DesignKey, EmbodiedOutcome, EvalCache, PipelineStats};
 use crate::sweep::SweepExecutor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Reuse accounting of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,7 +30,9 @@ pub struct SessionStats {
     /// [`ScenarioSession::register_client`]). Zero for single-client
     /// owners that only ever call [`ScenarioSession::evaluate`].
     pub clients: u64,
-    /// Sum of every request's per-stage counters.
+    /// The cache's cumulative per-stage counters: the sum of every
+    /// finished request's lookups, failed requests included (see
+    /// [`EvalCache::stats`]).
     pub stages: PipelineStats,
     /// Artifacts currently stored across all cache stages.
     pub entries: usize,
@@ -97,7 +99,6 @@ pub struct ScenarioSession {
     executor: SweepExecutor,
     requests: AtomicU64,
     clients: AtomicU64,
-    totals: Mutex<PipelineStats>,
 }
 
 impl ScenarioSession {
@@ -110,7 +111,6 @@ impl ScenarioSession {
             executor: SweepExecutor::new(workers),
             requests: AtomicU64::new(0),
             clients: AtomicU64::new(0),
-            totals: Mutex::new(PipelineStats::default()),
         }
     }
 
@@ -131,7 +131,6 @@ impl ScenarioSession {
             executor: SweepExecutor::new(workers).artifact_cap(cap),
             requests: AtomicU64::new(0),
             clients: AtomicU64::new(0),
-            totals: Mutex::new(PipelineStats::default()),
         }
     }
 
@@ -189,33 +188,33 @@ impl ScenarioSession {
                 workload,
             } => {
                 let model = CarbonModel::new(context.clone());
-                let tally = PipelineTally::default();
+                let workload = workload.as_ref();
+                let tags = EvalCache::stage_tags(&model, workload);
                 // One key per request, shared by every stage entry.
                 let key = Arc::new(DesignKey::new(design));
-                let response = match workload {
-                    Some(workload) => {
-                        let tags = EvalCache::stage_tags(&model, Some(workload));
-                        match cache
-                            .lifecycle_or_eval(&tags, &model, design, &key, workload, &tally)?
-                        {
-                            (Some(report), _) => EvalResponse::Lifecycle(report),
-                            // Oversized: a sweep would drop the point,
-                            // but `run` must surface exactly the error
-                            // a fresh process reports.
-                            (None, _) => {
-                                EvalResponse::Lifecycle(model.lifecycle(design, workload)?)
-                            }
-                        }
+                let (artifacts, stages) = cache.run_or_eval(&tags, &model, design, &key, workload);
+                let artifacts = artifacts?;
+                let response = match (artifacts.embodied, artifacts.operational, workload) {
+                    (EmbodiedOutcome::Report(embodied), Some(operational), _) => {
+                        EvalResponse::Lifecycle(LifecycleReport {
+                            embodied: (*embodied).clone(),
+                            operational: (*operational).clone(),
+                        })
                     }
-                    None => {
-                        let tags = EvalCache::stage_tags(&model, None);
-                        match cache.embodied_or_eval(&tags, &model, design, &key, &tally)? {
-                            Some(breakdown) => EvalResponse::Embodied((*breakdown).clone()),
-                            None => EvalResponse::Embodied(model.embodied(design)?),
-                        }
+                    (EmbodiedOutcome::Report(embodied), None, _) => {
+                        EvalResponse::Embodied((*embodied).clone())
+                    }
+                    // Oversized: a sweep would drop the point, but `run`
+                    // must surface exactly the error a fresh process
+                    // reports.
+                    (EmbodiedOutcome::Oversized, _, Some(workload)) => {
+                        EvalResponse::Lifecycle(model.lifecycle(design, workload)?)
+                    }
+                    (EmbodiedOutcome::Oversized, _, None) => {
+                        EvalResponse::Embodied(model.embodied(design)?)
                     }
                 };
-                (response, tally.snapshot())
+                (response, stages)
             }
             EvalRequest::Sweep {
                 context,
@@ -252,10 +251,6 @@ impl ScenarioSession {
                 (EvalResponse::Explore(Box::new(result)), stages)
             }
         };
-        {
-            let mut totals = self.totals.lock().expect("session stats lock poisoned");
-            *totals = totals.merged(&stages);
-        }
         Ok(Evaluated {
             response,
             stats: RequestStats { index, stages },
@@ -264,16 +259,137 @@ impl ScenarioSession {
 
     /// Cumulative session accounting.
     ///
-    /// `stages` sums the per-request tallies (so concurrent requests
-    /// are each attributed exactly their own lookups), and `entries`
-    /// is the store's current size.
+    /// `stages` and `entries` are the cache's ledger and current size
+    /// ([`EvalCache::stats`]) — the same snapshot the metric sinks
+    /// publish, so a `stats` frame and a metrics frame agree.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
+        let cache = self.executor.cache().stats();
         SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
             clients: self.clients.load(Ordering::Relaxed),
-            stages: *self.totals.lock().expect("session stats lock poisoned"),
-            entries: self.executor.cache().stats().entries,
+            stages: cache.stages,
+            entries: cache.entries,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::ModelContext;
+    use crate::design::{ChipDesign, DieSpec};
+    use crate::operational::Workload;
+    use crate::sweep::{BatchRanking, DesignSweep, SweepPlan, SweepPoint};
+    use tdc_technode::{GridRegion, ProcessNode};
+    use tdc_units::{Throughput, TimeSpan};
+
+    fn workload() -> Workload {
+        Workload::fixed(
+            "app",
+            Throughput::from_tops(100.0),
+            TimeSpan::from_hours(10_000.0),
+        )
+    }
+
+    fn model(region: GridRegion) -> CarbonModel {
+        CarbonModel::new(ModelContext::builder().use_region(region).build())
+    }
+
+    fn die(gates: f64, share: f64) -> ChipDesign {
+        ChipDesign::monolithic_2d(
+            DieSpec::builder("d", ProcessNode::N7)
+                .gate_count(gates)
+                .compute_share(share)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// A plan whose middle point cannot be priced: its only die does
+    /// no work, so the power stage fails after the embodied chain ran.
+    fn failing_plan() -> SweepPlan {
+        let points = [(8.0e9, 1.0), (9.0e9, 0.0), (10.0e9, 1.0)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (gates, share))| {
+                SweepPoint::new(
+                    i,
+                    format!("p{i}"),
+                    ProcessNode::N7,
+                    None,
+                    1,
+                    die(gates, share),
+                )
+            })
+            .collect();
+        SweepPlan::new(points)
+    }
+
+    /// One fixed sequence of sweep calls on `executor` — cold, a
+    /// re-price answered partly from columns, a mid-plan failure, a
+    /// fully warm repeat — returning each call's own stages.
+    fn sweep_calls(executor: &SweepExecutor) -> Vec<PipelineStats> {
+        let plan = DesignSweep::new(12.0e9)
+            .tier_counts(vec![2, 4])
+            .plan()
+            .unwrap();
+        let w = workload();
+        let mut calls = Vec::new();
+        for region in [GridRegion::France, GridRegion::Taiwan, GridRegion::Taiwan] {
+            executor.cache().advance_epoch();
+            let result = executor.execute(&model(region), &plan, &w).unwrap();
+            calls.push(result.stats().stages);
+        }
+        executor.cache().advance_epoch();
+        let mut ranking = BatchRanking::new();
+        let failed = executor.execute_batched_ranking(
+            &model(GridRegion::France),
+            &failing_plan(),
+            &w,
+            &mut ranking,
+        );
+        assert!(failed.is_err(), "the zero-share point fails");
+        assert!(ranking.ranked().is_empty());
+        calls.push(ranking.stats().stages);
+        calls
+    }
+
+    #[test]
+    fn ledger_is_the_sum_of_per_call_stats_including_failures() {
+        let session = ScenarioSession::serial();
+        let mut calls = sweep_calls(session.executor());
+        let failed = *calls.last().unwrap();
+        assert!(failed.misses() > 0, "lookups before the failure count");
+        assert_eq!(failed.power.misses, 3, "every point reached power");
+        for (region, workload) in [
+            (GridRegion::France, Some(workload())),
+            (GridRegion::Taiwan, Some(workload())),
+            (GridRegion::Taiwan, None),
+        ] {
+            let evaluated = session
+                .evaluate(&EvalRequest::Run {
+                    context: ModelContext::builder().use_region(region).build(),
+                    design: die(8.0e9, 1.0),
+                    workload,
+                })
+                .unwrap();
+            calls.push(evaluated.stats.stages);
+        }
+        let summed = calls
+            .iter()
+            .fold(PipelineStats::default(), |acc, c| acc.merged(c));
+        assert_eq!(session.executor().cache().stats().stages, summed);
+        assert_eq!(session.stats().stages, summed);
+        assert!(summed.hits() > 0 && summed.cross_hits() > 0);
+    }
+
+    #[test]
+    fn per_call_stats_do_not_depend_on_the_worker_count() {
+        let serial = sweep_calls(&SweepExecutor::serial());
+        for workers in [2, 8] {
+            let parallel = sweep_calls(&SweepExecutor::new(workers).parallel_threshold(0));
+            assert_eq!(parallel, serial, "{workers} workers");
         }
     }
 }

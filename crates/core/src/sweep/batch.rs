@@ -38,8 +38,8 @@
 //! by (total, plan index).
 
 use super::cache::{
-    DesignKey, EmbodiedOutcome, EvalCache, PipelineStats, PipelineTally, PointLookup,
-    StageCounters, StageTags, Stamp,
+    DesignKey, EmbodiedOutcome, EvalCache, PipelineStats, PointLookup, PointSlots, Slot, StageTags,
+    Stamp,
 };
 use super::executor::{SweepExecutor, SweepStats};
 use super::plan::{SweepPlan, SweepPoint};
@@ -88,7 +88,9 @@ impl BatchRanking {
         &self.ranked
     }
 
-    /// Statistics of the call that last filled this buffer.
+    /// Statistics of the most recent call on this buffer, a failed
+    /// one included (its ranking is left empty): the lookups a call
+    /// made before failing are counted too.
     #[must_use]
     pub fn stats(&self) -> SweepStats {
         self.stats
@@ -283,37 +285,20 @@ struct FillCtx<'a> {
     emb_col: Stamp,
     power_col: Stamp,
     op_col: Stamp,
-    tally: &'a PipelineTally,
-}
-
-/// Counts one column hit, attributing cross-request and cross-client
-/// reuse exactly like the keyed store's `StageCell::lookup` does: the
-/// column was last written under `col`, the reader runs under `now`.
-fn count_col_hit(counters: &mut StageCounters, col: Stamp, now: Stamp) {
-    counters.hits += 1;
-    if col.epoch < now.epoch {
-        counters.cross_hits += 1;
-    }
-    if col.client != now.client {
-        counters.client_hits += 1;
-    }
 }
 
 /// Per-worker fill bookkeeping, merged after the scope joins.
 #[derive(Default)]
 struct FillOut {
-    /// Column-hit counters (stage lookups answered structurally, never
-    /// touching the keyed cache). Merged into the tally snapshot for
-    /// the reported per-stage stats.
+    /// Lookups that went to the keyed cache.
+    keyed: PipelineStats,
+    /// Lookups answered structurally by the plan's stage columns,
+    /// never touching the keyed cache (the call's delta-skips).
     col: PipelineStats,
     evaluated: usize,
     dropped: usize,
     point_hits: usize,
     point_misses: usize,
-    wrote_phys: bool,
-    wrote_emb: bool,
-    wrote_power: bool,
-    wrote_op: bool,
     /// Lowest-indexed genuine model error: the reported error does not
     /// depend on the worker count.
     error: Option<(usize, ModelError)>,
@@ -321,15 +306,12 @@ struct FillOut {
 
 impl FillOut {
     fn merge(&mut self, other: FillOut) {
+        self.keyed = self.keyed.merged(&other.keyed);
         self.col = self.col.merged(&other.col);
         self.evaluated += other.evaluated;
         self.dropped += other.dropped;
         self.point_hits += other.point_hits;
         self.point_misses += other.point_misses;
-        self.wrote_phys |= other.wrote_phys;
-        self.wrote_emb |= other.wrote_emb;
-        self.wrote_power |= other.wrote_power;
-        self.wrote_op |= other.wrote_op;
         if let Some((i, e)) = other.error {
             if self.error.as_ref().is_none_or(|(j, _)| i < *j) {
                 self.error = Some((i, e));
@@ -347,24 +329,29 @@ struct Columns<'a> {
     totals: &'a mut [Option<f64>],
 }
 
-/// One point's slot in every stage column.
-struct Slots<'a> {
-    phys: &'a mut Option<Arc<PhysicalProfile>>,
-    emb: &'a mut Option<EmbodiedOutcome>,
-    power: &'a mut Option<Arc<PowerProfile>>,
-    op: &'a mut Option<Arc<OperationalReport>>,
-    total: &'a mut Option<f64>,
-}
-
 impl<'a> Columns<'a> {
-    fn slots(&mut self, i: usize) -> Slots<'_> {
-        Slots {
-            phys: &mut self.phys[i],
-            emb: &mut self.emb[i],
-            power: &mut self.power[i],
-            op: &mut self.op[i],
-            total: &mut self.totals[i],
-        }
+    /// Point `i`'s slot in every stage column (each tagged with its
+    /// column's last-written stamp from `ctx`) and its total slot.
+    fn slots(&mut self, i: usize, ctx: &FillCtx<'_>) -> (PointSlots<'_>, &mut Option<f64>) {
+        let slots = PointSlots {
+            phys: Slot {
+                value: &mut self.phys[i],
+                written: ctx.phys_col,
+            },
+            emb: Slot {
+                value: &mut self.emb[i],
+                written: ctx.emb_col,
+            },
+            power: Slot {
+                value: &mut self.power[i],
+                written: ctx.power_col,
+            },
+            op: Slot {
+                value: &mut self.op[i],
+                written: ctx.op_col,
+            },
+        };
+        (slots, &mut self.totals[i])
     }
 
     /// Splits the columns into aligned runs of `chunk` points.
@@ -390,104 +377,36 @@ impl<'a> Columns<'a> {
     }
 }
 
-/// Resolves the physical profile for one point at most once: first
-/// the per-point memo, then the plan column (a structural hit), then
-/// the keyed cache (which computes on miss).
-fn resolve_phys(
-    ctx: &FillCtx<'_>,
-    point: &PointLookup<'_>,
-    phys_local: &mut Option<Arc<PhysicalProfile>>,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
-    out: &mut FillOut,
-) -> Arc<PhysicalProfile> {
-    if let Some(p) = phys_local.as_ref() {
-        return Arc::clone(p);
-    }
-    let p = match phys_slot.as_ref() {
-        Some(p) => {
-            count_col_hit(&mut out.col.physical, ctx.phys_col, ctx.stamp);
-            Arc::clone(p)
-        }
-        None => {
-            let p = ctx.cache.physical_or_eval(point);
-            out.wrote_phys = true;
-            *phys_slot = Some(Arc::clone(&p));
-            p
-        }
-    };
-    *phys_local = Some(Arc::clone(&p));
-    p
-}
-
 /// Fills one point's missing slots (column → cache → compute per
-/// artifact head) and writes its life-cycle total. Returns the
-/// every-stage-hit flag and whether the point ranked (false =
-/// oversized drop).
+/// stage, see [`EvalCache::eval_point`]) and writes its life-cycle
+/// total. Returns the every-stage-hit flag and whether the point
+/// ranked (false = oversized drop).
 fn eval_slots(
     ctx: &FillCtx<'_>,
     design: &ChipDesign,
     key: &Arc<DesignKey>,
-    slots: Slots<'_>,
+    (slots, total): (PointSlots<'_>, &mut Option<f64>),
     out: &mut FillOut,
 ) -> Result<(bool, bool), ModelError> {
-    let (cache, stamp) = (ctx.cache, ctx.stamp);
     let point = PointLookup {
         tags: ctx.tags,
         model: ctx.model,
         design,
         design_key: key,
-        stamp,
-        tally: ctx.tally,
+        stamp: ctx.stamp,
     };
-    let mut all_hit = true;
-    let mut phys_local: Option<Arc<PhysicalProfile>> = None;
-
-    // ---- Embodied head (physical → yield → embodied) ----
-    if slots.emb.is_some() {
-        count_col_hit(&mut out.col.embodied, ctx.emb_col, stamp);
-    } else {
-        let (outcome, hit) = cache.embodied_head(&point, || {
-            resolve_phys(ctx, &point, &mut phys_local, slots.phys, out)
-        })?;
-        all_hit &= hit;
-        out.wrote_emb = true;
-        *slots.emb = Some(outcome);
-    }
-    let emb = match slots.emb.as_ref().expect("embodied slot filled above") {
-        EmbodiedOutcome::Report(r) => Arc::clone(r),
-        EmbodiedOutcome::Oversized => {
-            *slots.total = None;
-            return Ok((all_hit, false));
-        }
+    let artifacts = ctx.cache.eval_point(
+        &point,
+        Some(ctx.workload),
+        slots,
+        &mut out.keyed,
+        &mut out.col,
+    )?;
+    *total = match (&artifacts.embodied, &artifacts.operational) {
+        (EmbodiedOutcome::Report(emb), Some(op)) => Some(pipeline::lifecycle_total(emb, op).kg()),
+        _ => None,
     };
-
-    // ---- Operational head (physical → power → operational) ----
-    if slots.op.is_some() {
-        count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
-    } else {
-        let (report, hit) = cache.operational_head(&point, ctx.workload, || {
-            let phys = resolve_phys(ctx, &point, &mut phys_local, slots.phys, out);
-            let power = match slots.power.as_ref() {
-                Some(p) => {
-                    count_col_hit(&mut out.col.power, ctx.power_col, stamp);
-                    Arc::clone(p)
-                }
-                None => {
-                    let p = cache.power_or_eval(&point, &phys)?;
-                    out.wrote_power = true;
-                    *slots.power = Some(Arc::clone(&p));
-                    p
-                }
-            };
-            Ok((phys, power))
-        })?;
-        all_hit &= hit;
-        out.wrote_op = true;
-        *slots.op = Some(report);
-    }
-    let op = slots.op.as_ref().expect("operational slot filled above");
-    *slots.total = Some(pipeline::lifecycle_total(&emb, op).kg());
-    Ok((all_hit, true))
+    Ok((artifacts.all_hit, total.is_some()))
 }
 
 /// Evaluates one point into its slots, folding the outcome into the
@@ -497,7 +416,7 @@ fn fill_point(
     index: usize,
     point: &SweepPoint,
     key: &Arc<DesignKey>,
-    slots: Slots<'_>,
+    slots: (PointSlots<'_>, &mut Option<f64>),
     out: &mut FillOut,
 ) {
     match eval_slots(ctx, point.design(), key, slots, out) {
@@ -536,7 +455,7 @@ fn fill(
     if workers <= 1 || points.len() <= 1 {
         let mut local = FillOut::default();
         for (i, (point, key)) in points.iter().zip(keys).enumerate() {
-            fill_point(ctx, i, point, key, columns.slots(i), &mut local);
+            fill_point(ctx, i, point, key, columns.slots(i, ctx), &mut local);
         }
         return local;
     }
@@ -561,7 +480,14 @@ fn fill(
                         break;
                     };
                     for (o, (point, key)) in points.iter().zip(keys).enumerate() {
-                        fill_point(ctx, start + o, point, key, columns.slots(o), &mut local);
+                        fill_point(
+                            ctx,
+                            start + o,
+                            point,
+                            key,
+                            columns.slots(o, ctx),
+                            &mut local,
+                        );
                     }
                 }
                 local
@@ -639,22 +565,11 @@ pub(crate) fn run(
         stats.dropped = n - evaluated;
         stats.cache_hits = n;
         let mut col = PipelineStats::default();
-        col.embodied.hits = n as u64;
-        if emb_col.stamp.epoch < stamp.epoch {
-            col.embodied.cross_hits = n as u64;
-        }
-        if emb_col.stamp.client != stamp.client {
-            col.embodied.client_hits = n as u64;
-        }
-        col.operational.hits = evaluated as u64;
-        if op_col.stamp.epoch < stamp.epoch {
-            col.operational.cross_hits = evaluated as u64;
-        }
-        if op_col.stamp.client != stamp.client {
-            col.operational.client_hits = evaluated as u64;
-        }
+        col.embodied.record(n as u64, Some(emb_col.stamp), stamp);
+        col.operational
+            .record(evaluated as u64, Some(op_col.stamp), stamp);
         stats.stages = col;
-        stats.delta_skips = (n + evaluated) as u64;
+        stats.delta_skips = col.hits();
         Ok(())
     } else {
         // ---- Fill: compute exactly the missing slots (delta-eval),
@@ -663,7 +578,6 @@ pub(crate) fn run(
         stats.workers = workers;
         let mut phys_col = state.phys.take(tags.physical, n);
         let mut power_col = state.power.take(tags.power, n);
-        let tally = PipelineTally::default();
         let ctx = FillCtx {
             cache,
             tags: &tags,
@@ -674,7 +588,6 @@ pub(crate) fn run(
             emb_col: emb_col.stamp,
             power_col: power_col.stamp,
             op_col: op_col.stamp,
-            tally: &tally,
         };
         let merged = fill(
             &ctx,
@@ -689,17 +602,18 @@ pub(crate) fn run(
                 totals: &mut totals_col.slots,
             },
         );
-        if merged.wrote_phys {
-            phys_col.stamp = stamp;
-        }
-        if merged.wrote_emb {
-            emb_col.stamp = stamp;
-        }
-        if merged.wrote_power {
-            power_col.stamp = stamp;
-        }
-        if merged.wrote_op {
-            op_col.stamp = stamp;
+        // Every keyed lookup writes its answer into the column, so a
+        // stage that consulted the store now holds values of this call.
+        let keyed = merged.keyed;
+        for (column, lookups) in [
+            (&mut phys_col.stamp, keyed.physical.lookups()),
+            (&mut emb_col.stamp, keyed.embodied.lookups()),
+            (&mut power_col.stamp, keyed.power.lookups()),
+            (&mut op_col.stamp, keyed.operational.lookups()),
+        ] {
+            if lookups > 0 {
+                *column = stamp;
+            }
         }
         phys_col.complete = phys_col.slots.iter().all(Option::is_some);
         power_col.complete = power_col.slots.iter().all(Option::is_some);
@@ -726,7 +640,7 @@ pub(crate) fn run(
         stats.cache_hits = merged.point_hits;
         stats.cache_misses = merged.point_misses;
         stats.delta_skips = merged.col.hits();
-        stats.stages = tally.snapshot().merged(&merged.col);
+        stats.stages = keyed.merged(&merged.col);
         state.phys.store(phys_col, limit);
         state.power.store(power_col, limit);
         match merged.error {
@@ -735,6 +649,8 @@ pub(crate) fn run(
         }
     };
 
+    // The call's one fold into the ledger, failed or not.
+    cache.fold(&stats.stages);
     if tdc_obs::enabled() {
         use tdc_obs::metrics as m;
         m::SWEEP_BATCH_CALLS.inc();
@@ -746,8 +662,9 @@ pub(crate) fn run(
         m::SWEEP_COLUMN_HITS.add(stats.cache_hits as u64);
     }
 
+    out.stats = stats;
+    out.ranked.clear();
     if result.is_ok() {
-        out.ranked.clear();
         for (index, slot) in totals_col.slots.iter().enumerate() {
             if let Some(total_kg) = *slot {
                 out.ranked.push(RankedPoint { index, total_kg });
@@ -760,7 +677,6 @@ pub(crate) fn run(
                 .total_cmp(&b.total_kg)
                 .then(a.index.cmp(&b.index))
         });
-        out.stats = stats;
         if let Some(entries) = entries {
             for ranked in &out.ranked {
                 let point = &plan.points()[ranked.index];

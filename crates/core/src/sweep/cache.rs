@@ -52,8 +52,8 @@
 //! when a shard reaches its share of the per-stage artifact cap, the
 //! least-recently-used quarter of that shard is evicted (recomputing
 //! is always safe, so eviction can never change results — only
-//! recompute costs). The cumulative hit/miss counters live outside the
-//! shards and **survive eviction** (and [`EvalCache::clear`]), so a
+//! recompute costs). The hit/miss ledger (below) lives outside the
+//! shards and **survives eviction** (and [`EvalCache::clear`]), so a
 //! long-running session's stats line never goes backwards mid-stream.
 //! Only non-fatal outcomes are stored: a design whose dies outgrow the
 //! wafer is remembered as `Oversized`, while genuine model errors
@@ -68,17 +68,35 @@
 //! within-request reuse from cross-request reuse
 //! ([`StageCounters::cross_hits`]) and sharing *between clients* of a
 //! multi-client server ([`StageCounters::client_hits`]).
+//!
+//! # Counting: one ledger
+//!
+//! Each stage lookup is counted exactly once, by the call that made
+//! it. [`StageCounters::record`] books a miss, or a hit with its
+//! cross-request and cross-client attribution, into plain counters the
+//! call owns (one set per sweep worker, merged when the workers join).
+//! Keyed lookups are counted in the one get-or-compute path of a stage
+//! store; answers from the sweep engine's plan columns are counted with
+//! the same method, so a column hit and a keyed hit look alike. Before
+//! it returns, on success and on error, every call (a sweep fill, a
+//! `run` request) folds its counts into the cache's cumulative ledger
+//! once. [`EvalCache::stats`] reports that ledger, and every sink
+//! renders it: the stderr `key=value` lines and `stats` frames of a
+//! session, and — through [`EvalCache::publish_obs`] — the `--profile`
+//! document, the metrics frame, and the exposition endpoint. The sinks
+//! therefore agree by construction; a snapshot taken while a call is
+//! still running sees only the calls that have finished.
 
 use crate::design::ChipDesign;
 use crate::error::ModelError;
-use crate::model::{CarbonModel, LifecycleReport};
+use crate::model::CarbonModel;
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline::{self, PhysicalProfile, PowerProfile, YieldProfile};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use tdc_obs::metrics::Counter;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The canonical identity of a design: a compact, length-prefixed
 /// (hence injective) byte encoding of every field an artifact depends
@@ -285,6 +303,31 @@ impl StageCounters {
             }
         }
     }
+
+    /// Records `n` lookups with one outcome: misses when `hit` is
+    /// `None`, otherwise hits on an artifact written under the stamp
+    /// `hit` and read under `now` — cross-request hits when it was
+    /// written in an earlier epoch, cross-client hits when another
+    /// client wrote it. Every counted lookup, keyed or column, comes
+    /// through here.
+    pub(crate) fn record(&mut self, n: u64, hit: Option<Stamp>, now: Stamp) {
+        let Some(written) = hit else {
+            self.misses += n;
+            return;
+        };
+        self.hits += n;
+        if written.epoch < now.epoch {
+            self.cross_hits += n;
+        }
+        if written.client != now.client {
+            self.client_hits += n;
+        }
+    }
+
+    /// Lookups of any outcome.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
 }
 
 /// Per-stage hit/miss counters of the whole pipeline.
@@ -369,8 +412,8 @@ impl PipelineStats {
         }
     }
 
-    /// Element-wise sum of two snapshots (used by sessions to
-    /// accumulate per-request tallies).
+    /// Element-wise sum of two snapshots (used to merge sweep workers'
+    /// counts, and by callers adding up per-call stats).
     #[must_use]
     pub fn merged(&self, other: &PipelineStats) -> PipelineStats {
         let add = |a: StageCounters, b: StageCounters| StageCounters {
@@ -425,14 +468,16 @@ impl PipelineStats {
 /// Cumulative counters and size of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Per-stage hit/miss counters since construction. Counters
-    /// survive eviction and [`EvalCache::clear`] — a long-running
-    /// session's stats never go backwards mid-stream.
+    /// Per-stage hit/miss counters since construction: the ledger
+    /// every finished call folded its lookups into. It survives
+    /// eviction and [`EvalCache::clear`] — a long-running session's
+    /// stats never go backwards mid-stream.
     pub stages: PipelineStats,
     /// Artifacts currently stored, across all stages.
     pub entries: usize,
     /// Artifacts evicted by the per-shard LRU policy since
-    /// construction, across all stages.
+    /// construction, across all stages (the sum of
+    /// [`EvalCache::shard_stats`]).
     pub evictions: u64,
 }
 
@@ -485,51 +530,6 @@ pub(crate) struct Stamp {
     pub(crate) client: u64,
 }
 
-/// Per-call hit/miss tally, threaded through every lookup so a sweep
-/// or `run` request reports exactly its own traffic even when other
-/// calls share the cache concurrently (the cumulative [`StageCell`]
-/// counters cannot be attributed per call).
-#[derive(Debug, Default)]
-pub(crate) struct PipelineTally {
-    pub(crate) physical: TallyPair,
-    pub(crate) yields: TallyPair,
-    pub(crate) embodied: TallyPair,
-    pub(crate) power: TallyPair,
-    pub(crate) operational: TallyPair,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct TallyPair {
-    hits: Counter,
-    cross_hits: Counter,
-    client_hits: Counter,
-    misses: Counter,
-}
-
-impl TallyPair {
-    fn snapshot(&self) -> StageCounters {
-        StageCounters {
-            hits: self.hits.get(),
-            cross_hits: self.cross_hits.get(),
-            client_hits: self.client_hits.get(),
-            misses: self.misses.get(),
-        }
-    }
-}
-
-impl PipelineTally {
-    /// The counters accumulated so far, as plain stats.
-    pub(crate) fn snapshot(&self) -> PipelineStats {
-        PipelineStats {
-            physical: self.physical.snapshot(),
-            yields: self.yields.snapshot(),
-            embodied: self.embodied.snapshot(),
-            power: self.power.snapshot(),
-            operational: self.operational.snapshot(),
-        }
-    }
-}
-
 /// One stored artifact plus its bookkeeping: the design it belongs to
 /// (checked on every hit), the (epoch, client) it was inserted under,
 /// and its last-used stamp from the store-wide access clock (atomic,
@@ -538,8 +538,7 @@ impl PipelineTally {
 struct Entry<T> {
     key: Arc<DesignKey>,
     value: T,
-    epoch: u64,
-    client: u64,
+    stamp: Stamp,
     last_used: AtomicU64,
 }
 
@@ -579,23 +578,17 @@ fn shard_of(tag: u64) -> usize {
     }
 }
 
-/// One shard's share of the per-stage artifact cap (at least 1, so a
-/// pathologically tiny cap still caches the hot artifact).
-fn per_shard_cap(cap: usize) -> usize {
-    cap.div_ceil(SHARD_COUNT).max(1)
-}
-
 /// Evicts the least-recently-used quarter (at least one entry) of a
-/// full shard, returning how many entries were dropped. Access-clock
-/// stamps are unique, so the quantile threshold evicts an exact count.
-fn evict_lru<T>(shard: &mut Shard<T>) -> usize {
+/// full shard. Access-clock stamps are unique, so the quantile
+/// threshold evicts an exact count.
+fn evict_lru<T>(shard: &mut Shard<T>) {
     let mut stamps: Vec<u64> = shard
         .entries
         .values()
         .flat_map(|m| m.values().map(|e| e.last_used.load(Ordering::Relaxed)))
         .collect();
     if stamps.is_empty() {
-        return 0;
+        return;
     }
     stamps.sort_unstable();
     let drop_n = (stamps.len() / 4).max(1);
@@ -611,105 +604,58 @@ fn evict_lru<T>(shard: &mut Shard<T>) -> usize {
     });
     shard.count -= evicted;
     shard.evictions += evicted as u64;
-    evicted
 }
 
-/// One stage's sharded store plus its cumulative counters. The
-/// counters are [`tdc_obs::metrics::Counter`] atomics *outside* the
-/// shards, so they are exact under concurrent readers and they survive
-/// eviction and `clear` — the old single-map store reset its entry
-/// accounting wholesale on overflow, which made a long stream's stats
-/// lie mid-flight. (`stages_kv` in [`crate::service::summary`] is the
-/// compatibility formatter that keeps the stderr `key=value` surface
-/// byte-identical on top of these.)
+/// One stage's sharded store. It keeps no counters: every lookup is
+/// counted by the call that made it, through
+/// [`get_or_compute`](Self::get_or_compute), and reaches the
+/// [`EvalCache`] ledger when that call finishes.
 #[derive(Debug)]
 pub(crate) struct StageCell<T> {
     shards: [RwLock<Shard<T>>; SHARD_COUNT],
     /// The store-wide access clock LRU stamps come from.
     clock: AtomicU64,
-    hits: Counter,
-    cross_hits: Counter,
-    client_hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-// Manual impl: `derive(Default)` would needlessly require `T: Default`.
-impl<T> Default for StageCell<T> {
-    fn default() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
-            clock: AtomicU64::new(0),
-            hits: Counter::new(),
-            cross_hits: Counter::new(),
-            client_hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
-        }
-    }
+    /// Each shard's share of the per-stage artifact cap (at least 1,
+    /// so a pathologically tiny cap still caches the hot artifact).
+    shard_cap: usize,
 }
 
 impl<T: Clone> StageCell<T> {
-    /// Looks (`tag`, `key`) up under the shard's *read* lock, counting
-    /// the outcome both cumulatively and on the caller's tally. An
-    /// entry whose fingerprint matches but whose design bytes differ is
-    /// a miss. A hit on an artifact inserted before `stamp.epoch`
-    /// additionally counts as a cross-epoch hit; one inserted by a
-    /// different client as a cross-client hit. Hits bump the entry's
-    /// LRU stamp.
-    pub(crate) fn lookup(
-        &self,
-        tag: u64,
-        key: &DesignKey,
-        stamp: Stamp,
-        tally: &TallyPair,
-    ) -> Option<T> {
-        let shard = self.shards[shard_of(tag)]
-            .read()
-            .expect("cache shard poisoned");
-        match shard
-            .entries
-            .get(&tag)
-            .and_then(|m| m.get(&key.fingerprint))
-            .filter(|e| *e.key == *key)
-        {
-            Some(entry) => {
-                entry.last_used.store(
-                    self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
-                self.hits.inc();
-                tally.hits.inc();
-                if entry.epoch < stamp.epoch {
-                    self.cross_hits.inc();
-                    tally.cross_hits.inc();
-                }
-                if entry.client != stamp.client {
-                    self.client_hits.inc();
-                    tally.client_hits.inc();
-                }
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.inc();
-                tally.misses.inc();
-                None
-            }
+    /// An empty store retaining about `cap` artifacts across its
+    /// shards.
+    fn with_cap(cap: usize) -> Self {
+        Self {
+            shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
+            clock: AtomicU64::new(0),
+            shard_cap: cap.div_ceil(SHARD_COUNT).max(1),
         }
     }
 
+    /// Looks (`tag`, `key`) up under the shard's *read* lock, answering
+    /// the artifact and the stamp it was inserted under. An entry whose
+    /// fingerprint matches but whose design bytes differ is a miss.
+    /// Hits bump the entry's LRU stamp.
+    fn lookup(&self, tag: u64, key: &DesignKey) -> Option<(T, Stamp)> {
+        let shard = self.shards[shard_of(tag)]
+            .read()
+            .expect("cache shard poisoned");
+        let entry = shard
+            .entries
+            .get(&tag)
+            .and_then(|m| m.get(&key.fingerprint))
+            .filter(|e| *e.key == *key)?;
+        entry.last_used.store(
+            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
+        Some((entry.value.clone(), entry.stamp))
+    }
+
     /// Inserts under the shard's write lock, evicting the shard's LRU
-    /// quarter first when it is at its share of `cap`. An entry with
+    /// quarter first when it is at its share of the cap. An entry with
     /// the same fingerprint is replaced, even if it belongs to another
     /// design.
-    pub(crate) fn insert(
-        &self,
-        tag: u64,
-        key: &Arc<DesignKey>,
-        stamp: Stamp,
-        value: T,
-        cap: usize,
-    ) {
+    fn insert(&self, tag: u64, key: &Arc<DesignKey>, stamp: Stamp, value: T) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[shard_of(tag)]
             .write()
@@ -718,15 +664,13 @@ impl<T: Clone> StageCell<T> {
             .entries
             .get(&tag)
             .is_some_and(|m| m.contains_key(&key.fingerprint));
-        if !exists && shard.count >= per_shard_cap(cap) {
-            let evicted = evict_lru(&mut shard);
-            self.evictions.add(evicted as u64);
+        if !exists && shard.count >= self.shard_cap {
+            evict_lru(&mut shard);
         }
         let entry = Entry {
             key: Arc::clone(key),
             value,
-            epoch: stamp.epoch,
-            client: stamp.client,
+            stamp,
             last_used: AtomicU64::new(now),
         };
         if shard
@@ -740,24 +684,26 @@ impl<T: Clone> StageCell<T> {
         }
     }
 
-    fn counters(&self) -> StageCounters {
-        StageCounters {
-            hits: self.hits.get(),
-            cross_hits: self.cross_hits.get(),
-            client_hits: self.client_hits.get(),
-            misses: self.misses.get(),
+    /// The artifact of (`tag`, `key`): answered from the store, or
+    /// computed and stored under `now`. Records exactly one lookup on
+    /// `counters` — the only place keyed lookups are counted. The bool
+    /// is the hit flag; a failed computation stores nothing.
+    fn get_or_compute<E>(
+        &self,
+        tag: u64,
+        key: &Arc<DesignKey>,
+        now: Stamp,
+        counters: &mut StageCounters,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, bool), E> {
+        let found = self.lookup(tag, key);
+        counters.record(1, found.as_ref().map(|(_, written)| *written), now);
+        if let Some((value, _)) = found {
+            return Ok((value, true));
         }
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").count)
-            .sum()
+        let value = compute()?;
+        self.insert(tag, key, now, value.clone());
+        Ok((value, false))
     }
 
     /// Folds this cell's per-shard occupancy and eviction counts into
@@ -812,11 +758,14 @@ fn hash_str(s: &str) -> u64 {
 /// new lifetime) skip every upstream stage.
 #[derive(Debug)]
 pub struct EvalCache {
-    pub(crate) physical: StageCell<Arc<PhysicalProfile>>,
-    pub(crate) yields: StageCell<Arc<YieldProfile>>,
-    pub(crate) embodied: StageCell<EmbodiedOutcome>,
-    pub(crate) power: StageCell<Arc<PowerProfile>>,
-    pub(crate) operational: StageCell<Arc<OperationalReport>>,
+    physical: StageCell<Arc<PhysicalProfile>>,
+    yields: StageCell<Arc<YieldProfile>>,
+    embodied: StageCell<EmbodiedOutcome>,
+    power: StageCell<Arc<PowerProfile>>,
+    operational: StageCell<Arc<OperationalReport>>,
+    /// The cumulative hit/miss ledger: every finished call's lookups,
+    /// folded in once per call (see [`fold`](Self::fold)).
+    ledger: Mutex<PipelineStats>,
     /// The current request epoch. Artifacts remember the epoch they
     /// were inserted in; a hit on an artifact from an earlier epoch is
     /// *cross-request* reuse (see [`StageCounters::cross_hits`]).
@@ -853,15 +802,17 @@ impl EvalCache {
     /// without ever changing results.
     #[must_use]
     pub fn with_artifact_cap(cap: usize) -> Self {
+        let cap = cap.max(1);
         Self {
-            physical: StageCell::default(),
-            yields: StageCell::default(),
-            embodied: StageCell::default(),
-            power: StageCell::default(),
-            operational: StageCell::default(),
+            physical: StageCell::with_cap(cap),
+            yields: StageCell::with_cap(cap),
+            embodied: StageCell::with_cap(cap),
+            power: StageCell::with_cap(cap),
+            operational: StageCell::with_cap(cap),
+            ledger: Mutex::new(PipelineStats::default()),
             epoch: AtomicU64::new(0),
             client: AtomicU64::new(0),
-            artifact_cap: cap.max(1),
+            artifact_cap: cap,
         }
     }
 
@@ -935,27 +886,23 @@ impl EvalCache {
         }
     }
 
+    /// Adds one finished call's lookups to the ledger. Every call that
+    /// looks artifacts up (a sweep fill, a `run` request) folds exactly
+    /// once, on success and on error, so the ledger is the sum of the
+    /// per-call stats.
+    pub(crate) fn fold(&self, call: &PipelineStats) {
+        let mut ledger = self.ledger.lock().expect("cache ledger poisoned");
+        *ledger = ledger.merged(call);
+    }
+
     /// Current counters and size.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
+        let shards = self.shard_stats();
         CacheStats {
-            stages: PipelineStats {
-                physical: self.physical.counters(),
-                yields: self.yields.counters(),
-                embodied: self.embodied.counters(),
-                power: self.power.counters(),
-                operational: self.operational.counters(),
-            },
-            entries: self.physical.len()
-                + self.yields.len()
-                + self.embodied.len()
-                + self.power.len()
-                + self.operational.len(),
-            evictions: self.physical.evictions()
-                + self.yields.evictions()
-                + self.embodied.evictions()
-                + self.power.evictions()
-                + self.operational.evictions(),
+            stages: *self.ledger.lock().expect("cache ledger poisoned"),
+            entries: shards.iter().map(|s| s.entries).sum(),
+            evictions: shards.iter().map(|s| s.evictions).sum(),
         }
     }
 
@@ -963,8 +910,7 @@ impl EvalCache {
     /// stage cells (shard `i` of every stage shares index `i`).
     /// Occupancy reflects the current contents; evictions are
     /// cumulative since construction (maintained inside each shard, so
-    /// they attribute LRU pressure to the shard that felt it — the
-    /// cell-level [`CacheStats::evictions`] aggregate cannot).
+    /// they attribute LRU pressure to the shard that felt it).
     #[must_use]
     pub fn shard_stats(&self) -> [ShardStats; SHARD_COUNT] {
         let mut out = [ShardStats::default(); SHARD_COUNT];
@@ -976,12 +922,13 @@ impl EvalCache {
         out
     }
 
-    /// Publishes this cache's cumulative counters and per-shard
-    /// occupancy/evictions into the global obs gauges
-    /// (`cache.*` in `tdc_obs::metrics::CATALOG`). Called by the
-    /// metric sinks (profile writer, serve metrics frame, exposition
-    /// scrape) right before they snapshot, so the published levels
-    /// always describe the cache actually serving traffic.
+    /// Publishes this cache's ledger and per-shard occupancy/evictions
+    /// into the global obs gauges (`cache.*` in
+    /// `tdc_obs::metrics::CATALOG`). Called by the metric sinks
+    /// (profile writer, serve metrics frame, exposition scrape) right
+    /// before they snapshot, so the published levels always describe
+    /// the cache actually serving traffic — and agree with the stderr
+    /// stats lines and `stats` frames, which render the same ledger.
     pub fn publish_obs(&self) {
         use tdc_obs::metrics as m;
         const {
@@ -1004,7 +951,7 @@ impl EvalCache {
         }
     }
 
-    /// Drops every stored artifact in every stage (counters are kept).
+    /// Drops every stored artifact in every stage (the ledger is kept).
     pub fn clear(&self) {
         self.physical.clear();
         self.yields.clear();
@@ -1013,228 +960,219 @@ impl EvalCache {
         self.operational.clear();
     }
 
-    pub(crate) fn physical_or_eval(&self, point: &PointLookup<'_>) -> Arc<PhysicalProfile> {
-        if let Some(p) = self.physical.lookup(
-            point.tags.physical,
-            point.design_key,
-            point.stamp,
-            &point.tally.physical,
-        ) {
-            return p;
-        }
-        let p = Arc::new(pipeline::physical_profile(
-            point.model.context(),
-            point.design,
-        ));
-        self.physical.insert(
-            point.tags.physical,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&p),
-            self.artifact_cap,
-        );
-        p
-    }
-
-    pub(crate) fn yield_or_eval(
+    /// Resolves one point through the staged pipeline — every
+    /// artifact from its slot, else from the keyed store, else
+    /// computed — the one lookup chain behind sweeps (whose slots are
+    /// the engine's plan columns) and `run` requests (whose slots start
+    /// empty). Keyed lookups are counted on `keyed`, slot answers on
+    /// `col`. `workload` is `None` for an embodied-only evaluation;
+    /// the operational head is then never consulted, and neither is it
+    /// for a design whose dies outgrow the wafer.
+    pub(crate) fn eval_point(
         &self,
         point: &PointLookup<'_>,
-        phys: &PhysicalProfile,
-    ) -> Result<Arc<YieldProfile>, ModelError> {
-        if let Some(y) = self.yields.lookup(
-            point.tags.yields,
-            point.design_key,
-            point.stamp,
-            &point.tally.yields,
-        ) {
-            return Ok(y);
-        }
-        let y = Arc::new(pipeline::yield_profile(
-            point.model.context(),
-            point.design,
-            phys,
-        )?);
-        self.yields.insert(
-            point.tags.yields,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&y),
-            self.artifact_cap,
-        );
-        Ok(y)
+        workload: Option<&Workload>,
+        slots: PointSlots<'_>,
+        keyed: &mut PipelineStats,
+        col: &mut PipelineStats,
+    ) -> Result<PointArtifacts, ModelError> {
+        let PointSlots {
+            mut phys,
+            mut emb,
+            mut power,
+            mut op,
+        } = slots;
+        let (ctx, design, tags) = (point.model.context(), point.design, point.tags);
+        // Shared by both heads, resolved (and counted) at most once.
+        let mut phys_memo: Option<Arc<PhysicalProfile>> = None;
+        let mut physical = || {
+            let phys = phys_memo.get_or_insert_with(|| {
+                let Ok((p, _)) = phys.resolve(
+                    &self.physical,
+                    tags.physical,
+                    point,
+                    &mut keyed.physical,
+                    &mut col.physical,
+                    || Ok::<_, Infallible>(Arc::new(pipeline::physical_profile(ctx, design))),
+                );
+                p
+            });
+            Arc::clone(phys)
+        };
+        let (embodied, emb_hit) = emb.resolve(
+            &self.embodied,
+            tags.embodied,
+            point,
+            &mut keyed.embodied,
+            &mut col.embodied,
+            || {
+                let phys = physical();
+                let (yld, _) = self.yields.get_or_compute(
+                    tags.yields,
+                    point.design_key,
+                    point.stamp,
+                    &mut keyed.yields,
+                    || pipeline::yield_profile(ctx, design, &phys).map(Arc::new),
+                )?;
+                match pipeline::embodied_breakdown(ctx, design, &phys, &yld) {
+                    Ok(b) => Ok(EmbodiedOutcome::Report(Arc::new(b))),
+                    Err(ModelError::DieExceedsWafer { .. }) => Ok(EmbodiedOutcome::Oversized),
+                    Err(e) => Err(e),
+                }
+            },
+        )?;
+        let (Some(workload), EmbodiedOutcome::Report(_)) = (workload, &embodied) else {
+            return Ok(PointArtifacts {
+                embodied,
+                operational: None,
+                all_hit: emb_hit,
+            });
+        };
+        let (operational, op_hit) = op.resolve(
+            &self.operational,
+            tags.operational,
+            point,
+            &mut keyed.operational,
+            &mut col.operational,
+            || {
+                let phys = physical();
+                let (power, _) = power.resolve(
+                    &self.power,
+                    tags.power,
+                    point,
+                    &mut keyed.power,
+                    &mut col.power,
+                    || pipeline::power_profile(ctx, design, &phys).map(Arc::new),
+                )?;
+                pipeline::operational_report(
+                    ctx,
+                    design,
+                    &phys,
+                    &power,
+                    workload,
+                    point.model.power_model(),
+                )
+                .map(Arc::new)
+            },
+        )?;
+        Ok(PointArtifacts {
+            embodied,
+            operational: Some(operational),
+            all_hit: emb_hit && op_hit,
+        })
     }
 
-    pub(crate) fn power_or_eval(
+    /// Evaluates `design` (whose key is `design_key`) as one `run`
+    /// request — the full life cycle under (`model`, `workload`), or
+    /// only the embodied chain when `workload` is `None` — answering
+    /// every stage from the store when possible. `tags` is the value
+    /// [`stage_tags`](EvalCache::stage_tags) returned for this
+    /// configuration. Folds the request's lookups into the ledger
+    /// before returning, on success and on error, and returns them
+    /// alongside the outcome.
+    pub(crate) fn run_or_eval(
         &self,
-        point: &PointLookup<'_>,
-        phys: &PhysicalProfile,
-    ) -> Result<Arc<PowerProfile>, ModelError> {
-        if let Some(p) = self.power.lookup(
-            point.tags.power,
-            point.design_key,
-            point.stamp,
-            &point.tally.power,
-        ) {
-            return Ok(p);
-        }
-        let p = Arc::new(pipeline::power_profile(
-            point.model.context(),
-            point.design,
-            phys,
-        )?);
-        self.power.insert(
-            point.tags.power,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&p),
-            self.artifact_cap,
-        );
-        Ok(p)
-    }
-
-    /// The embodied artifact head (physical → yield → embodied):
-    /// answered from the store, or computed — taking the physical
-    /// profile from `phys` — and stored. A design whose dies outgrow
-    /// the wafer is a stored [`EmbodiedOutcome::Oversized`], not an
-    /// error. The bool is the hit flag.
-    pub(crate) fn embodied_head(
-        &self,
-        point: &PointLookup<'_>,
-        phys: impl FnOnce() -> Arc<PhysicalProfile>,
-    ) -> Result<(EmbodiedOutcome, bool), ModelError> {
-        let (tag, key, stamp) = (point.tags.embodied, point.design_key, point.stamp);
-        if let Some(o) = self.embodied.lookup(tag, key, stamp, &point.tally.embodied) {
-            return Ok((o, true));
-        }
-        let phys = phys();
-        let yld = self.yield_or_eval(point, &phys)?;
-        let outcome =
-            match pipeline::embodied_breakdown(point.model.context(), point.design, &phys, &yld) {
-                Ok(b) => EmbodiedOutcome::Report(Arc::new(b)),
-                Err(ModelError::DieExceedsWafer { .. }) => EmbodiedOutcome::Oversized,
-                Err(e) => return Err(e),
-            };
-        self.embodied
-            .insert(tag, key, stamp, outcome.clone(), self.artifact_cap);
-        Ok((outcome, false))
-    }
-
-    /// The operational artifact head (physical → power → operational):
-    /// answered from the store, or computed from the (physical, power)
-    /// profiles `inputs` supplies and stored. The bool is the hit flag.
-    pub(crate) fn operational_head(
-        &self,
-        point: &PointLookup<'_>,
-        workload: &Workload,
-        inputs: impl FnOnce() -> Result<(Arc<PhysicalProfile>, Arc<PowerProfile>), ModelError>,
-    ) -> Result<(Arc<OperationalReport>, bool), ModelError> {
-        let (tag, key, stamp) = (point.tags.operational, point.design_key, point.stamp);
-        if let Some(r) = self
-            .operational
-            .lookup(tag, key, stamp, &point.tally.operational)
-        {
-            return Ok((r, true));
-        }
-        let (phys, power) = inputs()?;
-        let model = point.model;
-        let r = Arc::new(pipeline::operational_report(
-            model.context(),
-            point.design,
-            &phys,
-            &power,
+        tags: &StageTags,
+        model: &CarbonModel,
+        design: &ChipDesign,
+        design_key: &Arc<DesignKey>,
+        workload: Option<&Workload>,
+    ) -> (Result<PointArtifacts, ModelError>, PipelineStats) {
+        let point = PointLookup {
+            tags,
+            model,
+            design,
+            design_key,
+            stamp: self.current_stamp(),
+        };
+        let (mut phys, mut emb, mut power, mut op) = (None, None, None, None);
+        let slots = PointSlots {
+            phys: Slot::empty(&mut phys),
+            emb: Slot::empty(&mut emb),
+            power: Slot::empty(&mut power),
+            op: Slot::empty(&mut op),
+        };
+        let mut stages = PipelineStats::default();
+        let result = self.eval_point(
+            &point,
             workload,
-            model.power_model(),
-        )?);
-        self.operational
-            .insert(tag, key, stamp, Arc::clone(&r), self.artifact_cap);
-        Ok((r, false))
-    }
-
-    /// Evaluates only the embodied chain of `design` (whose key is
-    /// `design_key`) under `model` (the `tdc run` without-a-workload
-    /// path), answering every stage from the store when possible.
-    /// Returns `Ok(None)` for designs whose dies outgrow the wafer.
-    pub(crate) fn embodied_or_eval(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        design: &ChipDesign,
-        design_key: &Arc<DesignKey>,
-        tally: &PipelineTally,
-    ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        let point = PointLookup {
-            tags,
-            model,
-            design,
-            design_key,
-            stamp: self.current_stamp(),
-            tally,
-        };
-        match self
-            .embodied_head(&point, || self.physical_or_eval(&point))?
-            .0
-        {
-            EmbodiedOutcome::Report(r) => Ok(Some(r)),
-            EmbodiedOutcome::Oversized => Ok(None),
-        }
-    }
-
-    /// Evaluates `design` (whose key is `design_key`) under (`model`,
-    /// `workload`) through the staged pipeline, answering every stage
-    /// from the store when possible — the `tdc run` path. `tags` is
-    /// the value [`stage_tags`](EvalCache::stage_tags) returned for
-    /// this configuration. Returns `Ok(None)` for designs whose dies
-    /// outgrow the wafer (remembered as such), and the report plus a
-    /// did-every-stage-hit flag otherwise.
-    pub(crate) fn lifecycle_or_eval(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        design: &ChipDesign,
-        design_key: &Arc<DesignKey>,
-        workload: &Workload,
-        tally: &PipelineTally,
-    ) -> Result<(Option<LifecycleReport>, bool), ModelError> {
-        let point = PointLookup {
-            tags,
-            model,
-            design,
-            design_key,
-            stamp: self.current_stamp(),
-            tally,
-        };
-        // Fetched at most once per point, shared by both heads.
-        let mut phys_local: Option<Arc<PhysicalProfile>> = None;
-        let mut phys =
-            || Arc::clone(phys_local.get_or_insert_with(|| self.physical_or_eval(&point)));
-        let (embodied, emb_hit) = self.embodied_head(&point, &mut phys)?;
-        let EmbodiedOutcome::Report(embodied) = embodied else {
-            return Ok((None, emb_hit));
-        };
-        let (operational, op_hit) = self.operational_head(&point, workload, || {
-            let phys = phys();
-            let power = self.power_or_eval(&point, &phys)?;
-            Ok((phys, power))
-        })?;
-        Ok((
-            Some(LifecycleReport {
-                embodied: (*embodied).clone(),
-                operational: (*operational).clone(),
-            }),
-            emb_hit && op_hit,
-        ))
+            slots,
+            &mut stages,
+            &mut PipelineStats::default(),
+        );
+        self.fold(&stages);
+        (result, stages)
     }
 }
 
 /// Everything a single point lookup needs, bundled so the per-stage
-/// helpers stay readable.
+/// lookups stay readable.
 pub(crate) struct PointLookup<'a> {
     pub(crate) tags: &'a StageTags,
     pub(crate) model: &'a CarbonModel,
     pub(crate) design: &'a ChipDesign,
     pub(crate) design_key: &'a Arc<DesignKey>,
     pub(crate) stamp: Stamp,
-    pub(crate) tally: &'a PipelineTally,
+}
+
+/// What [`EvalCache::eval_point`] resolved for one point.
+#[derive(Debug)]
+pub(crate) struct PointArtifacts {
+    pub(crate) embodied: EmbodiedOutcome,
+    /// `None` for an embodied-only evaluation or an oversized design.
+    pub(crate) operational: Option<Arc<OperationalReport>>,
+    /// Whether every consulted stage was answered without running.
+    pub(crate) all_hit: bool,
+}
+
+/// One point's slot in each column-backed stage (see [`Slot`]).
+pub(crate) struct PointSlots<'a> {
+    pub(crate) phys: Slot<'a, Arc<PhysicalProfile>>,
+    pub(crate) emb: Slot<'a, EmbodiedOutcome>,
+    pub(crate) power: Slot<'a, Arc<PowerProfile>>,
+    pub(crate) op: Slot<'a, Arc<OperationalReport>>,
+}
+
+/// One point's slot in a plan-aligned stage column of the sweep
+/// engine, in front of the keyed store: a resolved slot answers
+/// without touching the store. `written` is the stamp the column was
+/// last written under, which attributes a slot answer exactly like a
+/// keyed hit.
+pub(crate) struct Slot<'a, T> {
+    pub(crate) value: &'a mut Option<T>,
+    pub(crate) written: Stamp,
+}
+
+impl<'a, T: Clone> Slot<'a, T> {
+    /// A slot with nothing resolved yet, outside any column.
+    pub(crate) fn empty(value: &'a mut Option<T>) -> Self {
+        Self {
+            value,
+            written: Stamp::default(),
+        }
+    }
+
+    /// This point's artifact: from the slot (one hit on `col`), else
+    /// from `cell` via [`StageCell::get_or_compute`] (one lookup on
+    /// `keyed`), written back into the slot. The bool is the hit flag.
+    fn resolve<E>(
+        &mut self,
+        cell: &StageCell<T>,
+        tag: u64,
+        point: &PointLookup<'_>,
+        keyed: &mut StageCounters,
+        col: &mut StageCounters,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, bool), E> {
+        if let Some(value) = self.value.as_ref() {
+            col.record(1, Some(self.written), point.stamp);
+            return Ok((value.clone(), true));
+        }
+        let (value, hit) =
+            cell.get_or_compute(tag, point.design_key, point.stamp, keyed, compute)?;
+        *self.value = Some(value.clone());
+        Ok((value, hit))
+    }
 }
 
 #[cfg(test)]
@@ -1242,6 +1180,7 @@ mod tests {
     use super::*;
     use crate::context::ModelContext;
     use crate::design::DieSpec;
+    use crate::model::LifecycleReport;
     use tdc_technode::{GridRegion, ProcessNode};
     use tdc_units::{Throughput, TimeSpan};
 
@@ -1291,18 +1230,58 @@ mod tests {
         client: 0,
     };
 
+    /// A life-cycle `run` of `d` under (`m`, `w`): the report (`None`
+    /// when oversized), the all-hit flag, and the call's own stats.
+    fn life(
+        cache: &EvalCache,
+        m: &CarbonModel,
+        d: &ChipDesign,
+        w: &Workload,
+    ) -> (Option<LifecycleReport>, bool, PipelineStats) {
+        life_keyed(cache, m, d, &key(d), w)
+    }
+
+    fn life_keyed(
+        cache: &EvalCache,
+        m: &CarbonModel,
+        d: &ChipDesign,
+        k: &Arc<DesignKey>,
+        w: &Workload,
+    ) -> (Option<LifecycleReport>, bool, PipelineStats) {
+        let tags = EvalCache::stage_tags(m, Some(w));
+        let (result, stages) = cache.run_or_eval(&tags, m, d, k, Some(w));
+        let artifacts = result.unwrap();
+        let report = match (&artifacts.embodied, &artifacts.operational) {
+            (EmbodiedOutcome::Report(embodied), Some(operational)) => Some(LifecycleReport {
+                embodied: (**embodied).clone(),
+                operational: (**operational).clone(),
+            }),
+            _ => None,
+        };
+        (report, artifacts.all_hit, stages)
+    }
+
+    /// A bare cell lookup that stores `value` on a miss.
+    fn get(cell: &StageCell<u8>, tag: u64, k: &Arc<DesignKey>, value: u8) -> (u8, bool) {
+        let Ok(found) = cell.get_or_compute(tag, k, S0, &mut StageCounters::default(), || {
+            Ok::<_, Infallible>(value)
+        });
+        found
+    }
+
+    fn len<T: Clone>(cell: &StageCell<T>) -> usize {
+        let mut shards = [ShardStats::default(); SHARD_COUNT];
+        cell.fold_shard_stats(&mut shards);
+        shards.iter().map(|s| s.entries).sum()
+    }
+
     #[test]
     fn second_lookup_hits_every_stage() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (first, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
-        let (second, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
+        let (first, hit1, _) = life(&cache, &m, &d, &w);
+        let (second, hit2, _) = life(&cache, &m, &d, &w);
         assert!(!hit1);
         assert!(hit2);
         assert_eq!(first, second);
@@ -1328,29 +1307,20 @@ mod tests {
         let d = mono(5.0e9);
         let w = workload();
         let base = model();
-        let tags = EvalCache::stage_tags(&base, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &base, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &base, &d, &w);
 
         let moved = CarbonModel::new(
             ModelContext::builder()
                 .use_region(GridRegion::France)
                 .build(),
         );
-        let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
+        let (tags, moved_tags) = (
+            EvalCache::stage_tags(&base, Some(&w)),
+            EvalCache::stage_tags(&moved, Some(&w)),
+        );
         assert_eq!(tags.embodied, moved_tags.embodied);
         assert_ne!(tags.operational, moved_tags.operational);
-        let (report, hit) = cache
-            .lifecycle_or_eval(
-                &moved_tags,
-                &moved,
-                &d,
-                &key(&d),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        let (report, hit, _) = life(&cache, &moved, &d, &w);
         assert!(!hit, "the operational stage must recompute");
         let stats = cache.stats();
         assert_eq!(
@@ -1376,29 +1346,20 @@ mod tests {
         let d = mono(5.0e9);
         let w = workload();
         let base = model();
-        let tags = EvalCache::stage_tags(&base, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &base, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &base, &d, &w);
 
         let moved = CarbonModel::new(
             ModelContext::builder()
                 .fab_region(GridRegion::Renewable)
                 .build(),
         );
-        let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
+        let (tags, moved_tags) = (
+            EvalCache::stage_tags(&base, Some(&w)),
+            EvalCache::stage_tags(&moved, Some(&w)),
+        );
         assert_eq!(tags.operational, moved_tags.operational);
         assert_ne!(tags.embodied, moved_tags.embodied);
-        let (report, _) = cache
-            .lifecycle_or_eval(
-                &moved_tags,
-                &moved,
-                &d,
-                &key(&d),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        let (report, _, _) = life(&cache, &moved, &d, &w);
         let stats = cache.stats();
         assert_eq!(
             stats.stages.operational,
@@ -1447,33 +1408,25 @@ mod tests {
         // lookup must miss on every stage and evaluate its own design.
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         let (a, b) = (mono(5.0e9), mono(9.0e9));
         let ka = Arc::new(DesignKey::with_fingerprint(&a, 42));
         let kb = Arc::new(DesignKey::with_fingerprint(&b, 42));
         assert_eq!(ka.fingerprint(), kb.fingerprint());
         assert_ne!(ka, kb);
-        let (ra, _) = cache
-            .lifecycle_or_eval(&tags, &m, &a, &ka, &w, &PipelineTally::default())
-            .unwrap();
-        let tally = PipelineTally::default();
-        let (rb, hit) = cache
-            .lifecycle_or_eval(&tags, &m, &b, &kb, &w, &tally)
-            .unwrap();
+        let (ra, _, _) = life_keyed(&cache, &m, &a, &ka, &w);
+        let (rb, hit, stages) = life_keyed(&cache, &m, &b, &kb, &w);
         assert!(!hit, "a colliding fingerprint must not hit");
-        assert_eq!(tally.snapshot().hits(), 0);
+        assert_eq!(stages.hits(), 0);
         assert_eq!(rb.unwrap(), m.lifecycle(&b, &w).unwrap());
         assert_ne!(ra, m.lifecycle(&b, &w).ok());
         // The colliding insert replaced the entry: the store holds one
         // artifact per stage and still answers `b` exactly.
-        let cell: StageCell<u8> = StageCell::default();
-        let t = TallyPair::default();
-        cell.insert(1, &ka, S0, 1, DEFAULT_ARTIFACT_CAP);
-        assert_eq!(cell.lookup(1, &kb, S0, &t), None);
-        cell.insert(1, &kb, S0, 2, DEFAULT_ARTIFACT_CAP);
-        assert_eq!(cell.len(), 1);
-        assert_eq!(cell.lookup(1, &ka, S0, &t), None);
-        assert_eq!(cell.lookup(1, &kb, S0, &t), Some(2));
+        let cell: StageCell<u8> = StageCell::with_cap(DEFAULT_ARTIFACT_CAP);
+        assert_eq!(get(&cell, 1, &ka, 1), (1, false));
+        assert_eq!(get(&cell, 1, &kb, 2), (2, false));
+        assert_eq!(len(&cell), 1);
+        assert_eq!(cell.lookup(1, &ka), None);
+        assert_eq!(cell.lookup(1, &kb), Some((2, S0)));
     }
 
     #[test]
@@ -1486,13 +1439,8 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (r1, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
-        let (r2, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
+        let (r1, hit1, _) = life(&cache, &m, &d, &w);
+        let (r2, hit2, _) = life(&cache, &m, &d, &w);
         assert!(r1.is_none() && r2.is_none());
         assert!(!hit1);
         assert!(hit2);
@@ -1507,28 +1455,19 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &m, &d, &w);
         let longer = Workload::fixed(
             "app",
             Throughput::from_tops(50.0),
             TimeSpan::from_hours(2_000.0),
         );
-        let longer_tags = EvalCache::stage_tags(&m, Some(&longer));
+        let (tags, longer_tags) = (
+            EvalCache::stage_tags(&m, Some(&w)),
+            EvalCache::stage_tags(&m, Some(&longer)),
+        );
         assert_eq!(tags.embodied, longer_tags.embodied);
         assert_ne!(tags.operational, longer_tags.operational);
-        let (_, hit) = cache
-            .lifecycle_or_eval(
-                &longer_tags,
-                &m,
-                &d,
-                &key(&d),
-                &longer,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        let (_, hit, _) = life(&cache, &m, &d, &longer);
         assert!(!hit, "a different workload must re-price operations");
         assert_eq!(cache.stats().stages.embodied.hits, 1);
     }
@@ -1537,20 +1476,12 @@ mod tests {
     fn clear_drops_entries() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(
-                &tags,
-                &m,
-                &mono(5.0e9),
-                &key(&mono(5.0e9)),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        life(&cache, &m, &mono(5.0e9), &w);
         assert_eq!(cache.stats().entries, 5);
+        let ledger = cache.stats().stages;
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().stages, ledger, "the ledger survives clear");
     }
 
     #[test]
@@ -1560,56 +1491,46 @@ mod tests {
         // must evict exactly the least-recently-used quarter (one
         // entry) — and a lookup decides recency, so touching the
         // oldest entry redirects eviction to the next-oldest.
-        let cell: StageCell<u8> = StageCell::default();
-        const CAP: usize = 4 * SHARD_COUNT;
-        let tally = TallyPair::default();
+        let cell: StageCell<u8> = StageCell::with_cap(4 * SHARD_COUNT);
         for i in 0..4u8 {
-            cell.insert(7, &k(u64::from(i)), S0, i, CAP);
+            cell.insert(7, &k(u64::from(i)), S0, i);
         }
-        assert_eq!(cell.len(), 4);
+        assert_eq!(len(&cell), 4);
         // Touch k0: k1 becomes the LRU entry.
-        assert_eq!(cell.lookup(7, &k(0), S0, &tally), Some(0));
-        cell.insert(7, &k(4), S0, 4, CAP);
-        assert_eq!(cell.len(), 4, "one in, one out");
-        assert_eq!(cell.lookup(7, &k(1), S0, &tally), None, "LRU entry evicted");
-        assert_eq!(
-            cell.lookup(7, &k(0), S0, &tally),
-            Some(0),
-            "touched entry kept"
-        );
-        assert_eq!(
-            cell.lookup(7, &k(4), S0, &tally),
-            Some(4),
-            "new entry stored"
-        );
-        assert_eq!(cell.evictions(), 1);
+        assert_eq!(get(&cell, 7, &k(0), 99), (0, true));
+        cell.insert(7, &k(4), S0, 4);
+        assert_eq!(len(&cell), 4, "one in, one out");
+        assert_eq!(cell.lookup(7, &k(1)), None, "LRU entry evicted");
+        assert_eq!(cell.lookup(7, &k(0)), Some((0, S0)), "touched entry kept");
+        assert_eq!(cell.lookup(7, &k(4)), Some((4, S0)), "new entry stored");
+        let mut shards = [ShardStats::default(); SHARD_COUNT];
+        cell.fold_shard_stats(&mut shards);
+        assert_eq!(shards.iter().map(|s| s.evictions).sum::<u64>(), 1);
     }
 
     #[test]
     fn counters_survive_eviction() {
         // The cap-and-drop regression: overflowing a stage store must
-        // never reset its cumulative hit/miss accounting mid-stream.
-        let cell: StageCell<u8> = StageCell::default();
-        const CAP: usize = SHARD_COUNT; // one entry per shard
-        let tally = TallyPair::default();
-        cell.insert(3, &k(50), S0, 1, CAP);
-        assert_eq!(cell.lookup(3, &k(50), S0, &tally), Some(1));
-        assert_eq!(cell.lookup(3, &k(999), S0, &tally), None);
-        let before = cell.counters();
-        assert_eq!(before, sc(1, 1));
-        // Same tag → same shard → every insert beyond the first evicts.
-        for i in 0..8u8 {
-            cell.insert(3, &k(100 + u64::from(i)), S0, i, CAP);
+        // never reset the cumulative hit/miss ledger mid-stream. A
+        // one-entry-per-shard cache evicts on nearly every insert.
+        let cache = EvalCache::with_artifact_cap(SHARD_COUNT);
+        let (m, w) = (model(), workload());
+        let mut summed = PipelineStats::default();
+        let mut previous = cache.stats().stages;
+        for gates in [5.0e9, 5.0e9, 6.0e9, 7.0e9, 8.0e9, 5.0e9, 9.0e9, 6.0e9] {
+            let (_, _, stages) = life(&cache, &m, &mono(gates), &w);
+            summed = summed.merged(&stages);
+            let now = cache.stats().stages;
+            assert_eq!(now.since(&previous), stages, "one fold per call");
+            previous = now;
         }
-        assert!(cell.evictions() > 0, "the shard must have overflowed");
+        assert!(cache.stats().evictions > 0, "the shards must overflow");
         assert_eq!(
-            cell.counters(),
-            before,
-            "inserts and evictions never touch the hit/miss counters"
+            cache.stats().stages,
+            summed,
+            "evictions never touch the ledger"
         );
-        // And the store keeps answering: the most recent entry is warm.
-        assert_eq!(cell.lookup(3, &k(107), S0, &tally), Some(7));
-        assert_eq!(cell.counters().hits, before.hits + 1);
+        assert!(summed.hits() > 0);
     }
 
     #[test]
@@ -1619,29 +1540,10 @@ mod tests {
         // ever grows and entries reflects what actually survived.
         let cache = EvalCache::with_artifact_cap(1);
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(
-                &tags,
-                &m,
-                &mono(5.0e9),
-                &key(&mono(5.0e9)),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        life(&cache, &m, &mono(5.0e9), &w);
         let before = cache.stats();
         assert_eq!(before.stages.misses(), 5);
-        cache
-            .lifecycle_or_eval(
-                &tags,
-                &m,
-                &mono(6.0e9),
-                &key(&mono(6.0e9)),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        life(&cache, &m, &mono(6.0e9), &w);
         let after = cache.stats();
         assert_eq!(
             after.stages.misses(),
@@ -1650,6 +1552,7 @@ mod tests {
         );
         assert!(after.stages.hits() >= before.stages.hits());
         assert!(after.entries <= 5 * SHARD_COUNT);
+        assert!(after.evictions > 0);
     }
 
     #[test]
@@ -1659,16 +1562,9 @@ mod tests {
         let roomy = EvalCache::new();
         let tight = EvalCache::with_artifact_cap(1);
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         for gates in [5.0e9, 6.0e9, 5.0e9, 7.0e9, 6.0e9] {
             let d = mono(gates);
-            let (a, _) = roomy
-                .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-                .unwrap();
-            let (b, _) = tight
-                .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &PipelineTally::default())
-                .unwrap();
-            assert_eq!(a, b);
+            assert_eq!(life(&roomy, &m, &d, &w).0, life(&tight, &m, &d, &w).0);
         }
     }
 
@@ -1678,50 +1574,50 @@ mod tests {
         // path: every stored value is a pure function of its (tag,
         // key), so any lookup that returns a value for the wrong key —
         // under any interleaving of reads, writes, and LRU evictions —
-        // fails the assertion. Counters must account for every lookup.
-        let cell: StageCell<u64> = StageCell::default();
+        // fails the assertion. Each thread's counters must account for
+        // every lookup it made.
         const CAP: usize = 8 * SHARD_COUNT;
-        let total_lookups = std::sync::atomic::AtomicU64::new(0);
+        let cell: StageCell<u64> = StageCell::with_cap(CAP);
         let keys: Vec<Arc<DesignKey>> = (0..32).map(k).collect();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let (cell, total_lookups, keys) = (&cell, &total_lookups, &keys);
-                scope.spawn(move || {
-                    let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
-                    let tally = TallyPair::default();
-                    let mut lookups = 0u64;
-                    for i in 0..2_000u64 {
-                        seed = seed
-                            .wrapping_mul(6_364_136_223_846_793_005)
-                            .wrapping_add(1_442_695_040_888_963_407);
-                        let tag = seed >> 60; // 16 tags spread over shards
-                        let k = (seed >> 32) & 31; // 32 keys per tag
-                        let key = keys[k as usize].clone();
-                        let stamp = Stamp {
-                            epoch: i / 500,
-                            client: t,
-                        };
-                        lookups += 1;
-                        match cell.lookup(tag, &key, stamp, &tally) {
-                            Some(v) => assert_eq!(v, tag ^ k, "value belongs to another key"),
-                            None => cell.insert(tag, &key, stamp, tag ^ k, CAP),
+        let counted: Vec<StageCounters> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (cell, keys) = (&cell, &keys);
+                    scope.spawn(move || {
+                        let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+                        let mut counters = StageCounters::default();
+                        for i in 0..2_000u64 {
+                            seed = seed
+                                .wrapping_mul(6_364_136_223_846_793_005)
+                                .wrapping_add(1_442_695_040_888_963_407);
+                            let tag = seed >> 60; // 16 tags spread over shards
+                            let k = (seed >> 32) & 31; // 32 keys per tag
+                            let stamp = Stamp {
+                                epoch: i / 500,
+                                client: t,
+                            };
+                            let Ok((v, _)) = cell.get_or_compute(
+                                tag,
+                                &keys[k as usize],
+                                stamp,
+                                &mut counters,
+                                || Ok::<_, Infallible>(tag ^ k),
+                            );
+                            assert_eq!(v, tag ^ k, "value belongs to another key");
                         }
-                    }
-                    let snap = tally.snapshot();
-                    assert_eq!(snap.hits + snap.misses, lookups);
-                    total_lookups.fetch_add(lookups, Ordering::Relaxed);
-                });
-            }
+                        counters
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let c = cell.counters();
-        assert_eq!(
-            c.hits + c.misses,
-            total_lookups.load(Ordering::Relaxed),
-            "cumulative counters account for every lookup"
-        );
-        assert!(c.hits > 0 && c.misses > 0);
+        for c in &counted {
+            assert_eq!(c.lookups(), 2_000, "every lookup counted once");
+            assert!(c.cross_hits <= c.hits && c.client_hits <= c.hits);
+        }
+        assert!(counted.iter().any(|c| c.hits > 0 && c.misses > 0));
         assert!(
-            cell.len() <= per_shard_cap(CAP) * SHARD_COUNT,
+            len(&cell) <= cell.shard_cap * SHARD_COUNT,
             "shards stay within their cap share"
         );
     }
@@ -1743,42 +1639,29 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         // Request 1: cold.
         cache.advance_epoch();
-        let t1 = PipelineTally::default();
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t1)
-            .unwrap();
-        assert_eq!(t1.snapshot().cross_hits(), 0);
+        let (_, _, s1) = life(&cache, &m, &d, &w);
+        assert_eq!(s1.cross_hits(), 0);
         // Request 2: both artifact heads come from request 1.
         cache.advance_epoch();
-        let t2 = PipelineTally::default();
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t2)
-            .unwrap();
-        let s2 = t2.snapshot();
+        let (_, _, s2) = life(&cache, &m, &d, &w);
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.cross_hits(), 2, "warmth came from the earlier epoch");
         assert!((s2.cross_hit_rate() - 1.0).abs() < 1e-12);
         // A re-evaluation *within* request 2 hits, but not cross-epoch.
-        let t3 = PipelineTally::default();
         let moved = CarbonModel::new(
             ModelContext::builder()
                 .use_region(GridRegion::France)
                 .build(),
         );
-        let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
-        cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &key(&d), &w, &t3)
-            .unwrap();
-        let s3 = t3.snapshot();
+        let (_, _, s3) = life(&cache, &moved, &d, &w);
         // Embodied head: cross hit (inserted in request 1). The
         // physical/power artifacts under the recomputed operational
         // stage are cross hits too.
         assert_eq!(s3.embodied.cross_hits, 1);
         assert_eq!(s3.operational.misses, 1);
-        // Cumulative counters carry the same attribution.
+        // The ledger carries the same attribution.
         assert_eq!(
             cache.stats().stages.cross_hits(),
             s2.cross_hits() + s3.cross_hits()
@@ -1790,21 +1673,13 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         // Client 1 computes everything.
         cache.begin_request(1);
-        let t1 = PipelineTally::default();
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t1)
-            .unwrap();
-        assert_eq!(t1.snapshot().client_hits(), 0);
+        let (_, _, s1) = life(&cache, &m, &d, &w);
+        assert_eq!(s1.client_hits(), 0);
         // Client 2 answers both heads from client 1's artifacts.
         cache.begin_request(2);
-        let t2 = PipelineTally::default();
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t2)
-            .unwrap();
-        let s2 = t2.snapshot();
+        let (_, _, s2) = life(&cache, &m, &d, &w);
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.client_hits(), 2, "warmth came from another client");
         assert_eq!(s2.cross_hits(), 2, "and from an earlier request");
@@ -1812,11 +1687,7 @@ mod tests {
         // Client 1 returning sees plain cross-request hits, not
         // cross-client ones — it computed these artifacts itself.
         cache.begin_request(1);
-        let t3 = PipelineTally::default();
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &key(&d), &w, &t3)
-            .unwrap();
-        let s3 = t3.snapshot();
+        let (_, _, s3) = life(&cache, &m, &d, &w);
         assert_eq!(s3.client_hits(), 0);
         assert_eq!(s3.cross_hits(), 2);
         assert_eq!(cache.stats().stages.client_hits(), 2);
@@ -1830,22 +1701,17 @@ mod tests {
         // Embodied-only request warms the embodied chain...
         cache.advance_epoch();
         let only_tags = EvalCache::stage_tags(&m, None);
-        let t1 = PipelineTally::default();
-        let b = cache
-            .embodied_or_eval(&only_tags, &m, &d, &key(&d), &t1)
-            .unwrap();
-        assert!(b.is_some());
-        assert_eq!(t1.snapshot().embodied.misses, 1);
+        let (only, s1) = cache.run_or_eval(&only_tags, &m, &d, &key(&d), None);
+        let only = only.unwrap();
+        assert!(matches!(only.embodied, EmbodiedOutcome::Report(_)));
+        assert!(only.operational.is_none());
+        assert_eq!(s1.embodied.misses, 1);
+        assert_eq!(s1.operational.lookups(), 0);
         // ...and a later lifecycle request answers embodied from it.
         cache.advance_epoch();
-        let life_tags = EvalCache::stage_tags(&m, Some(&w));
-        let t2 = PipelineTally::default();
-        let (report, _) = cache
-            .lifecycle_or_eval(&life_tags, &m, &d, &key(&d), &w, &t2)
-            .unwrap();
+        let (report, _, s2) = life(&cache, &m, &d, &w);
         let fresh = m.lifecycle(&d, &w).unwrap();
         assert_eq!(report.unwrap(), fresh);
-        let s2 = t2.snapshot();
         assert_eq!(
             s2.embodied,
             StageCounters {
@@ -1865,29 +1731,10 @@ mod tests {
     fn stats_deltas_compose() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         let before = cache.stats().stages;
-        cache
-            .lifecycle_or_eval(
-                &tags,
-                &m,
-                &mono(5.0e9),
-                &key(&mono(5.0e9)),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        life(&cache, &m, &mono(5.0e9), &w);
         let mid = cache.stats().stages;
-        cache
-            .lifecycle_or_eval(
-                &tags,
-                &m,
-                &mono(5.0e9),
-                &key(&mono(5.0e9)),
-                &w,
-                &PipelineTally::default(),
-            )
-            .unwrap();
+        life(&cache, &m, &mono(5.0e9), &w);
         let after = cache.stats().stages;
         let cold = mid.since(&before);
         let warm = after.since(&mid);
@@ -1896,5 +1743,41 @@ mod tests {
         assert_eq!(warm.misses(), 0);
         assert_eq!(warm.hits(), 2, "both artifact heads answered");
         assert!((warm.warm_hit_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_attributes_hits_by_stamp() {
+        let now = Stamp {
+            epoch: 3,
+            client: 1,
+        };
+        let mut c = StageCounters::default();
+        c.record(2, None, now);
+        c.record(1, Some(now), now);
+        c.record(
+            4,
+            Some(Stamp {
+                epoch: 2,
+                client: 1,
+            }),
+            now,
+        );
+        c.record(
+            3,
+            Some(Stamp {
+                epoch: 3,
+                client: 2,
+            }),
+            now,
+        );
+        assert_eq!(
+            c,
+            StageCounters {
+                hits: 8,
+                cross_hits: 4,
+                client_hits: 3,
+                misses: 2
+            }
+        );
     }
 }

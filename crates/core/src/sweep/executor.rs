@@ -48,8 +48,10 @@ pub struct SweepStats {
     /// plan-aligned columns.
     pub delta_skips: u64,
     /// Per-stage hit/miss counters of exactly this call (column hits
-    /// plus this call's keyed lookups, tallied per call so the numbers
+    /// plus this call's keyed lookups, counted per call so the numbers
     /// stay correct even when concurrent calls share one executor).
+    /// The call folds them into the cache's ledger
+    /// ([`EvalCache::stats`]) before it returns.
     pub stages: PipelineStats,
 }
 
@@ -259,7 +261,8 @@ impl SweepExecutor {
     /// # Errors
     ///
     /// Returns the [`ModelError`] of the lowest-indexed failing point,
-    /// exactly like [`execute`](Self::execute).
+    /// exactly like [`execute`](Self::execute). `out` then holds an
+    /// empty ranking and the failed call's statistics.
     pub fn execute_batched_ranking(
         &self,
         model: &CarbonModel,

@@ -263,11 +263,16 @@ pub static SWEEP_POINTS: Counter = Counter::new();
 /// Stage recomputations + keyed lookups skipped by plan-aligned
 /// columns (the batch engine's delta-eval).
 pub static SWEEP_DELTA_SKIPS: Counter = Counter::new();
-/// Stage lookups answered structurally from batch columns.
+/// Plan points answered with no stage run: every stage lookup of the
+/// point hit, in the engine's columns or the keyed cache
+/// (`SweepStats::cache_hits`, the `warm_points=` numerator of the
+/// stderr line). Stage lookups answered by the columns are
+/// [`SWEEP_DELTA_SKIPS`].
 pub static SWEEP_COLUMN_HITS: Counter = Counter::new();
 
-/// Cumulative artifact-cache traffic, published from the live
-/// `EvalCache` (tdc-core) at snapshot time.
+/// Cumulative stage lookups answered without running the stage —
+/// plan-column and keyed-cache hits alike — copied from the live
+/// `EvalCache` ledger (tdc-core) at snapshot time.
 pub static CACHE_HITS: Gauge = Gauge::new();
 /// See [`CACHE_HITS`].
 pub static CACHE_CROSS_HITS: Gauge = Gauge::new();

@@ -140,17 +140,6 @@ impl GridRegion {
             .map(|(_, _, region)| *region)
     }
 
-    /// Parses a scenario-file/CLI token into a region.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GridRegion::resolve_token` (or the model \
-                                          registry's `resolve`) instead"
-    )]
-    #[must_use]
-    pub fn from_token(token: &str) -> Option<Self> {
-        Self::resolve_token(token)
-    }
-
     /// A short human-readable name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -225,16 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn token_table_covers_every_region_and_shims_agree() {
+    fn token_table_covers_every_region() {
         let mut seen = std::collections::HashSet::new();
         for (canonical, aliases, region) in GridRegion::TOKENS {
             assert!(seen.insert(*region), "duplicate token row for {region:?}");
             assert_eq!(GridRegion::resolve_token(canonical), Some(*region));
             for alias in *aliases {
                 assert_eq!(GridRegion::resolve_token(alias), Some(*region), "{alias}");
-                #[allow(deprecated)]
-                let via_shim = GridRegion::from_token(alias);
-                assert_eq!(via_shim, Some(*region));
             }
         }
         assert_eq!(seen.len(), GridRegion::ALL.len());
