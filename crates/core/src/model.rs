@@ -8,16 +8,24 @@ use crate::error::ModelError;
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tdc_power::PowerModel;
 use tdc_units::{Co2Mass, Ratio, TimeSpan};
 
 /// The full life-cycle result for one design (Eq. 1).
+///
+/// Both halves are shared, not owned: a report built by a sweep or a
+/// [`ScenarioSession`](crate::service::ScenarioSession) points at the
+/// very artifacts the engine caches, so handing one out (or cloning
+/// it) costs two reference-count bumps. `Debug`, `PartialEq` and
+/// `Display` see through the [`Arc`]s. To edit a half in place, use
+/// [`Arc::make_mut`], which copies it first if it is still shared.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LifecycleReport {
     /// Embodied breakdown (Eq. 3).
-    pub embodied: EmbodiedBreakdown,
+    pub embodied: Arc<EmbodiedBreakdown>,
     /// Operational report (Eq. 16).
-    pub operational: OperationalReport,
+    pub operational: Arc<OperationalReport>,
 }
 
 impl LifecycleReport {
@@ -183,8 +191,8 @@ impl CarbonModel {
             &*self.power_model,
         )?;
         Ok(LifecycleReport {
-            embodied,
-            operational,
+            embodied: Arc::new(embodied),
+            operational: Arc::new(operational),
         })
     }
 

@@ -197,8 +197,8 @@ impl ScenarioSession {
                 let response = match (artifacts.embodied, artifacts.operational, workload) {
                     (EmbodiedOutcome::Report(embodied), Some(operational), _) => {
                         EvalResponse::Lifecycle(LifecycleReport {
-                            embodied: (*embodied).clone(),
-                            operational: (*operational).clone(),
+                            embodied,
+                            operational,
                         })
                     }
                     (EmbodiedOutcome::Report(embodied), None, _) => {

@@ -52,9 +52,12 @@ use crate::pipeline::{self, PhysicalProfile, PowerProfile};
 use std::sync::{Arc, Mutex};
 
 /// One ranked point of a batch evaluation: the plan index and the
-/// life-cycle total it was ranked by. Materialize the full entry via
-/// the plan (`plan.points()[index]`) when needed — the ranking itself
-/// stays allocation-free.
+/// life-cycle total it was ranked by. Look the point up via the plan
+/// (`plan.points()[index]`) when needed — the ranking itself stays
+/// allocation-free. [`SweepExecutor::execute`] turns the same ranking
+/// into [`SweepEntry`] values that share the plan's design and the
+/// engine's cached reports, so the only thing it allocates per point
+/// is the entry's label.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedPoint {
     /// The point's index in its plan.
@@ -691,10 +694,10 @@ pub(crate) fn run(
                     label: point.label().to_owned(),
                     node: point.node(),
                     technology: point.technology(),
-                    design: point.design().clone(),
+                    design: Arc::clone(point.design()),
                     report: LifecycleReport {
-                        embodied: (**emb).clone(),
-                        operational: (**op).clone(),
+                        embodied: Arc::clone(emb),
+                        operational: Arc::clone(op),
                     },
                 });
             }

@@ -1253,8 +1253,8 @@ mod tests {
         let artifacts = result.unwrap();
         let report = match (&artifacts.embodied, &artifacts.operational) {
             (EmbodiedOutcome::Report(embodied), Some(operational)) => Some(LifecycleReport {
-                embodied: (**embodied).clone(),
-                operational: (**operational).clone(),
+                embodied: Arc::clone(embodied),
+                operational: Arc::clone(operational),
             }),
             _ => None,
         };

@@ -252,11 +252,14 @@ impl SweepExecutor {
 
     /// The non-materializing variant of [`execute`](Self::execute):
     /// ranks `plan`'s points by life-cycle total into the caller-owned
-    /// `out` buffer without building [`SweepEntry`] values at all. On a warm plan (stage
-    /// columns already filled) this performs **zero heap allocations
-    /// per point** — reuse one [`BatchRanking`] across calls to keep
-    /// its buffers warm. The ranking order (total, then plan index) is
-    /// identical to [`execute`](Self::execute)'s entry order.
+    /// `out` buffer without building [`SweepEntry`] values at all. On
+    /// a warm plan (stage columns already filled) this performs **zero
+    /// heap allocations per point** — reuse one [`BatchRanking`]
+    /// across calls to keep its buffers warm. The ranking order
+    /// (total, then plan index) is identical to
+    /// [`execute`](Self::execute)'s entry order. `execute` is not much
+    /// dearer: its entries share the engine's artifacts (see
+    /// [`SweepEntry`]), so it adds one allocation per entry, the label.
     ///
     /// # Errors
     ///

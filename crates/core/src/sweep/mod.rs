@@ -30,6 +30,7 @@ use crate::error::ModelError;
 use crate::model::{CarbonModel, LifecycleReport};
 use crate::operational::Workload;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tdc_integration::{IntegrationFamily, IntegrationTechnology, StackOrientation};
 use tdc_technode::ProcessNode;
 use tdc_units::Efficiency;
@@ -48,6 +49,14 @@ pub use executor::{SweepExecutor, SweepResult, SweepStats};
 pub use plan::{SweepPlan, SweepPoint};
 
 /// One evaluated point of a sweep.
+///
+/// An entry shares the engine's artifacts instead of copying them:
+/// `design` is the plan point's own [`Arc`], and the two halves of
+/// `report` are the [`Arc`]s held in the executor's stage columns. Only
+/// `label` is owned. Building or cloning an entry is therefore a few
+/// reference-count bumps, and two executions of one warm plan return
+/// entries that point at the same values. Callers that want to edit a
+/// shared field use [`Arc::make_mut`], which copies it first if needed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepEntry {
     /// `"<node>/<tech>"` label, e.g. `"7 nm/Hybrid"` (suffixed with
@@ -57,8 +66,8 @@ pub struct SweepEntry {
     pub node: ProcessNode,
     /// The integration technology (`None` = monolithic 2D).
     pub technology: Option<IntegrationTechnology>,
-    /// The design that was evaluated.
-    pub design: ChipDesign,
+    /// The design that was evaluated (shared with the plan point).
+    pub design: Arc<ChipDesign>,
     /// Its life-cycle result.
     pub report: LifecycleReport,
 }
@@ -397,7 +406,7 @@ mod tests {
             .iter()
             .any(|e| e.technology == Some(IntegrationTechnology::MicroBump3d)));
         for e in &entries {
-            if let ChipDesign::Stack3d { orientation, .. } = &e.design {
+            if let ChipDesign::Stack3d { orientation, .. } = &*e.design {
                 assert_eq!(*orientation, StackOrientation::FaceToBack);
             }
         }

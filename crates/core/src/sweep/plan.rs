@@ -22,7 +22,7 @@ pub struct SweepPoint {
     node: ProcessNode,
     technology: Option<IntegrationTechnology>,
     tiers: u32,
-    design: ChipDesign,
+    design: Arc<ChipDesign>,
 }
 
 impl SweepPoint {
@@ -43,7 +43,7 @@ impl SweepPoint {
             node,
             technology,
             tiers,
-            design,
+            design: Arc::new(design),
         }
     }
 
@@ -78,9 +78,11 @@ impl SweepPoint {
         self.tiers
     }
 
-    /// The design to evaluate at this point.
+    /// The design to evaluate at this point. It is shared: every
+    /// [`SweepEntry`](crate::sweep::SweepEntry) ranked from this point
+    /// holds the same [`Arc`], and clones of the plan share it too.
     #[must_use]
-    pub fn design(&self) -> &ChipDesign {
+    pub fn design(&self) -> &Arc<ChipDesign> {
         &self.design
     }
 }
@@ -146,7 +148,7 @@ impl SweepPlan {
     /// metadata are presentation, the designs are what the pipeline
     /// evaluates.
     pub fn designs(&self) -> impl Iterator<Item = &ChipDesign> + '_ {
-        self.points.iter().map(SweepPoint::design)
+        self.points.iter().map(|point| &*point.design)
     }
 
     /// Number of points in the plan.

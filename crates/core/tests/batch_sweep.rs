@@ -2,13 +2,15 @@
 //! `SweepExecutor::execute`): bit-identity against a per-point
 //! `CarbonModel::lifecycle` reference (cold, warm, any worker count,
 //! tiny artifact caps, plan switches, oversized drops), delta-eval
-//! accounting when only downstream axes change, and a property test
-//! over randomized plans, worker counts, and configuration sequences.
+//! accounting when only downstream axes change, artifact sharing
+//! between warm executions, and a property test over randomized plans,
+//! worker counts, and configuration sequences.
 
 mod common;
 
 use common::lifecycle_reference;
 use proptest::prelude::*;
+use std::sync::Arc;
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor, SweepPlan};
 use tdc_core::{CarbonModel, ModelContext, Workload};
 use tdc_technode::{GridRegion, ProcessNode};
@@ -216,6 +218,43 @@ fn ranking_api_matches_materialized_entries() {
         assert!(ranked.total_kg == entry.report.total().kg());
     }
     assert_eq!(ranking.stats().cache_hits, plan.len());
+}
+
+#[test]
+fn warm_executions_share_artifacts_instead_of_copying() {
+    let plan = table2_plan();
+    let (m, w) = (model(), workload(254.0));
+    let executor = SweepExecutor::serial();
+    executor.execute(&m, &plan, &w).unwrap();
+    let first = executor.execute(&m, &plan, &w).unwrap();
+    let second = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(first.entries().len(), second.entries().len());
+    for (a, b) in first.entries().iter().zip(second.entries()) {
+        assert!(Arc::ptr_eq(&a.design, &b.design), "{}", a.label);
+        assert!(
+            Arc::ptr_eq(&a.report.embodied, &b.report.embodied),
+            "{}",
+            a.label
+        );
+        assert!(
+            Arc::ptr_eq(&a.report.operational, &b.report.operational),
+            "{}",
+            a.label
+        );
+    }
+    // The design is the plan point's own, not a copy of it.
+    for entry in first.entries() {
+        let point = plan
+            .points()
+            .iter()
+            .find(|p| p.label() == entry.label)
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(point.design(), &entry.design),
+            "{}",
+            entry.label
+        );
+    }
 }
 
 proptest! {

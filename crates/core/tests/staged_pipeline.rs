@@ -22,6 +22,7 @@ use tdc_yield::StackingFlow;
 /// reference (only its error type differs: `String` instead of the
 /// crate-private `ModelError` constructors).
 mod legacy {
+    use std::sync::Arc;
     use tdc_core::{
         ChipDesign, DieOperationalReport, DieReport, DieSpec, EmbodiedBreakdown, LifecycleReport,
         ModelContext, OperationalReport, SubstrateReport, Workload,
@@ -609,8 +610,8 @@ mod legacy {
         let embodied = compute_embodied(ctx, design)?;
         let operational = compute_operational(ctx, design, &embodied, workload, power_model)?;
         Ok(LifecycleReport {
-            embodied,
-            operational,
+            embodied: Arc::new(embodied),
+            operational: Arc::new(operational),
         })
     }
 }
