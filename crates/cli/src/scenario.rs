@@ -368,7 +368,7 @@ pub struct Scenario {
     sweep: Option<SweepSpec>,
     explore: Option<ExploreRaw>,
     base_dir: Option<PathBuf>,
-    /// The registry every build-time name resolves through, built
+    /// The registry every build-time name resolves through, resolved
     /// lazily (pack files load on first use, after `with_base_dir`).
     registry: OnceLock<Result<Arc<Registry>, ScenarioError>>,
 }
@@ -473,9 +473,14 @@ impl Scenario {
         self
     }
 
-    /// The model registry this scenario resolves names through: the
-    /// built-in catalogs plus every file in the `packs` block (loaded
-    /// on first use, scenario-file-relative).
+    /// The model registry this scenario resolves names through.
+    ///
+    /// Without pack files (no `packs` block, or an empty one) this is
+    /// the process-wide [`Registry::builtins`], shared with every other
+    /// pack-less scenario. With packs it is a private
+    /// [`Registry::with_builtins`] copy plus every file in the block
+    /// (loaded on first use, scenario-file-relative), so pack entries
+    /// never reach the shared registry.
     ///
     /// # Errors
     ///
@@ -485,6 +490,9 @@ impl Scenario {
     pub fn registry(&self) -> Result<&Registry, ScenarioError> {
         self.registry
             .get_or_init(|| {
+                if self.packs.is_empty() {
+                    return Ok(Registry::builtins());
+                }
                 let mut registry = Registry::with_builtins();
                 for (i, file) in self.packs.iter().enumerate() {
                     let resolved = self.resolve_path(file);

@@ -199,3 +199,62 @@ fn packs_check_accepts_the_checked_in_example() {
         "{out}"
     );
 }
+
+#[test]
+fn packless_scenarios_share_one_registry_and_packs_stay_private() {
+    const PLAIN: &str = r#"{"name": "x", "design": {"preset": "epyc-7452"}}"#;
+    let a = Scenario::parse(PLAIN).unwrap();
+    let b = Scenario::parse(PLAIN).unwrap();
+    let shared = a.registry().unwrap();
+    assert!(std::ptr::eq(shared, b.registry().unwrap()));
+
+    let dir = temp_dir_with(
+        "shared",
+        &[(
+            "slow.json",
+            r#"{"pack": "slow", "nodes": [
+                {"name": "n7-slow", "base": "n7",
+                 "derive": {"energy_per_area_kwh_per_cm2": "base * 1.5"}}
+            ]}"#,
+        )],
+    );
+    let packed = Scenario::parse(
+        r#"{"name": "x", "sweep": {"gate_count": 1e9, "nodes": ["n7-slow"]},
+            "packs": ["slow.json"]}"#,
+    )
+    .unwrap()
+    .with_base_dir(Some(&dir));
+    let private = packed.registry().unwrap();
+    assert!(private.resolve_node("n7-slow").is_ok());
+    assert!(!std::ptr::eq(private, shared));
+    packed.build_sweep().unwrap();
+
+    // The same name without the pack fails exactly as it does in a
+    // fresh process, whose shared registry no pack has ever touched.
+    const UNPACKED: &str = r#"{"name": "x",
+        "workload": {"name": "w", "throughput_tops": 254, "active_hours": 4745,
+                     "average_utilization": 0.15},
+        "sweep": {"gate_count": 1e9, "nodes": ["n7-slow"]}}"#;
+    let err = Scenario::parse(UNPACKED)
+        .unwrap()
+        .build_sweep()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("sweep.nodes[0]"), "{err}");
+    assert!(
+        err.contains("unknown process node `n7-slow` (known: n3, n5, n7,"),
+        "{err}"
+    );
+    let file = dir.join("unpacked.json");
+    std::fs::write(&file, UNPACKED).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tdc"))
+        .arg("sweep")
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        format!("error: {err}")
+    );
+}

@@ -37,6 +37,7 @@ mod builtins;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 pub use builtins::{NODE_PARAM_KEYS, TECHNOLOGY_PARAM_KEYS};
 pub use pack::{PackError, PackSummary};
@@ -423,15 +424,34 @@ impl Registry {
         }
     }
 
-    /// A registry pre-loaded with every shipped catalog: all grid
-    /// regions, process nodes, integration technologies (plus `2D`),
-    /// yield models, power models, design-preset examples (with the
-    /// full preset grammar as a fallback rule), and workload presets.
+    /// A fresh registry pre-loaded with every shipped catalog: all
+    /// grid regions, process nodes, integration technologies (plus
+    /// `2D`), yield models, power models, design-preset examples (with
+    /// the full preset grammar as a fallback rule), and workload
+    /// presets.
+    ///
+    /// Build one when you need a registry you can extend — loading
+    /// packs into it, as a scenario with a `packs` block does.
+    /// Read-only callers should share [`Registry::builtins`] instead.
     #[must_use]
     pub fn with_builtins() -> Self {
         let mut registry = Self::empty();
         builtins::install(&mut registry);
         registry
+    }
+
+    /// The process-wide built-in registry: [`Registry::with_builtins`]
+    /// built on first call, then shared by every later call.
+    ///
+    /// Scenarios without a `packs` block resolve through this one, so
+    /// repeated requests (e.g. `tdc serve` `run` frames) do not rebuild
+    /// the catalogs. Sharing is safe because an `Arc` hands out no
+    /// `&mut` access: the shared registry never changes after it is
+    /// built, so it never holds pack entries or [`PackApplication`]s.
+    #[must_use]
+    pub fn builtins() -> Arc<Self> {
+        static BUILTINS: OnceLock<Arc<Registry>> = OnceLock::new();
+        Arc::clone(BUILTINS.get_or_init(|| Arc::new(Self::with_builtins())))
     }
 
     /// Canonical token form: trimmed, lowercased, with underscores and
@@ -850,6 +870,18 @@ mod tests {
         });
         assert!(r.resolve(ModelKind::Grid, "echo-7").is_ok());
         assert!(r.resolve(ModelKind::Grid, "foxtrot").is_err());
+    }
+
+    #[test]
+    fn shared_builtins_are_one_registry_equal_to_a_fresh_one() {
+        let (a, b) = (Registry::builtins(), Registry::builtins());
+        assert!(Arc::ptr_eq(&a, &b));
+
+        let fresh = Registry::with_builtins();
+        let listing = |r: &Registry| format!("{:?}", r.list(None));
+        assert_eq!(listing(&a), listing(&fresh));
+        assert_eq!(format!("{a:?}"), format!("{fresh:?}"));
+        assert!(a.applications().is_empty());
     }
 
     #[test]
