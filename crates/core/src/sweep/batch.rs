@@ -199,8 +199,11 @@ impl PlanState {
 
     /// Whether these columns belong to a plan with exactly `keys`'
     /// design sequence. The same plan (or a clone) shares the keys and
-    /// answers by pointer; a rebuilt plan compares key by key, and a
-    /// different plan usually fails on its first key.
+    /// answers by pointer — the common case, since
+    /// [`DesignSweep::plan`](super::DesignSweep::plan) hands every
+    /// caller of one sweep shape a clone of one memoized plan. A plan
+    /// enumerated afresh compares key by key, and a different plan
+    /// usually fails on its first key.
     fn holds(&self, keys: &Arc<[Arc<DesignKey>]>) -> bool {
         Arc::ptr_eq(&self.keys, keys) || *self.keys == **keys
     }

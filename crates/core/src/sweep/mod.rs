@@ -46,6 +46,7 @@ pub use cache::{
     CacheStats, DesignKey, EvalCache, PipelineStats, ShardStats, StageCounters, SHARD_COUNT,
 };
 pub use executor::{SweepExecutor, SweepResult, SweepStats};
+use plan::PLAN_MEMO;
 pub use plan::{SweepPlan, SweepPoint};
 
 /// One evaluated point of a sweep.
@@ -245,16 +246,51 @@ impl DesignSweep {
         Ok(Some(design?))
     }
 
+    /// Whether `other` enumerates exactly this sweep's plan. A plan
+    /// depends on these five fields alone (`design_for` is pure), and
+    /// the floats compare by bit pattern, as [`DesignKey`] does, so
+    /// sweeps that could plan differently (`-0.0` against `0.0`, say)
+    /// never compare equal.
+    fn same_shape(&self, other: &Self) -> bool {
+        let Self {
+            gate_count,
+            efficiency,
+            nodes,
+            technologies,
+            tier_counts,
+        } = self;
+        let bits = |eff: &Option<Efficiency>| eff.map(|e| e.tops_per_watt().to_bits());
+        gate_count.to_bits() == other.gate_count.to_bits()
+            && bits(efficiency) == bits(&other.efficiency)
+            && *nodes == other.nodes
+            && *technologies == other.technologies
+            && *tier_counts == other.tier_counts
+    }
+
     /// Expands the builder into a deterministic [`SweepPlan`]: the
     /// cartesian product of nodes × tier counts × technologies, minus
     /// the points outside a technology's envelope, with the 2D
     /// reference emitted once per node.
+    ///
+    /// Plans are memoized per sweep shape in one process-wide slot. A
+    /// call whose sweep equals the last one that planned successfully
+    /// returns a clone of that plan: the clone shares every point's
+    /// design and the plan's built design keys, so an executor that
+    /// still holds the plan's columns recognises it by pointer. Any
+    /// other sweep enumerates its plan and takes the slot over; the
+    /// slot keeps at most one plan alive after its caller is done.
+    /// Failed plans are not memoized.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] when a die specification is invalid
     /// (e.g. a non-positive per-die gate count).
     pub fn plan(&self) -> Result<SweepPlan, ModelError> {
+        PLAN_MEMO.plan(self)
+    }
+
+    /// The uncached enumeration behind [`DesignSweep::plan`].
+    fn enumerate(&self) -> Result<SweepPlan, ModelError> {
         let multi_tier = self.tier_counts.len() > 1;
         let mut points = Vec::new();
         for &node in &self.nodes {

@@ -1,16 +1,22 @@
 //! The enumerated form of a sweep: [`SweepPlan`] and [`SweepPoint`].
 //!
 //! A plan is a *pure description* — building one performs no model
-//! evaluation, so plans are cheap to construct, inspect, filter, and
-//! hand to a [`SweepExecutor`](crate::sweep::SweepExecutor). The point
-//! index assigned at construction is the determinism anchor: executors
-//! report results in index order no matter how many workers evaluated
-//! them.
+//! evaluation — that can be inspected, filtered, and handed to a
+//! [`SweepExecutor`](crate::sweep::SweepExecutor). It is not free to
+//! build, though: a large plan allocates one design per point and,
+//! on first execution, one [`DesignKey`] per point. So
+//! [`DesignSweep::plan`] memoizes the last plan it built (see
+//! [`PlanMemo`]), and re-asking one sweep shape clones the plan
+//! instead of enumerating it again. The point index assigned at
+//! construction is the determinism anchor: executors report results
+//! in index order no matter how many workers evaluated them.
 
 use super::cache::DesignKey;
+use super::DesignSweep;
 use crate::design::ChipDesign;
+use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use tdc_integration::IntegrationTechnology;
 use tdc_technode::ProcessNode;
 
@@ -92,11 +98,13 @@ impl SweepPoint {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPlan {
     points: Vec<SweepPoint>,
-    /// One [`DesignKey`] per point, built on the first execution and
-    /// carried with the plan from then on: the engine identifies its
-    /// resident plan by them on *every* call, and every cache entry
-    /// computed for a point shares its key. Clones share the built
-    /// keys; deserialized plans rebuild them on first use.
+    /// One [`DesignKey`] per point, built on the first execution (or
+    /// by [`PlanMemo`] before it publishes the plan) and carried with
+    /// the plan from then on: the engine identifies its resident plan
+    /// by them on *every* call, and every cache entry computed for a
+    /// point shares its key. Clones share the built keys, so a
+    /// memoized plan's clones all answer the engine by pointer;
+    /// deserialized plans rebuild them on first use.
     #[serde(skip)]
     keys: OnceLock<Arc<[Arc<DesignKey>]>>,
 }
@@ -164,10 +172,74 @@ impl SweepPlan {
     }
 }
 
+/// A plan-memo slot: the last sweep that planned successfully, with
+/// its plan.
+type Slot = Option<(DesignSweep, Arc<SweepPlan>)>;
+
+/// The process-wide memo behind [`DesignSweep::plan`].
+pub(super) static PLAN_MEMO: PlanMemo = PlanMemo::new();
+
+/// A one-slot plan memo keyed by sweep shape
+/// ([`DesignSweep::same_shape`]).
+///
+/// One slot matches the engine, which keeps columns for one resident
+/// plan: a stream of requests over one design space hits every time,
+/// and a new shape replaces the old one. The slot keeps at most one
+/// plan alive after its request ends. Sharing a plan is safe because
+/// it is immutable and depends on nothing but its sweep's shape:
+/// names and packs are resolved to enums before a [`DesignSweep`]
+/// exists, so two equal sweeps under different registries still
+/// enumerate the same designs.
+///
+/// The lock is held only to compare the key and to clone or swap an
+/// [`Arc`]; enumeration, the key build and the plan clone all run
+/// outside it.
+pub(super) struct PlanMemo {
+    slot: Mutex<Slot>,
+}
+
+impl PlanMemo {
+    pub(super) const fn new() -> Self {
+        Self {
+            slot: Mutex::new(None),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        // The slot is only ever replaced whole, so a thread that
+        // panicked while holding the lock left it whole or empty: keep
+        // using it rather than turning every later sweep into a panic.
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `sweep`'s plan: a clone of the memoized one when the shapes
+    /// match, otherwise a fresh enumeration that then takes the slot.
+    pub(super) fn plan(&self, sweep: &DesignSweep) -> Result<SweepPlan, ModelError> {
+        let hit = self
+            .lock()
+            .as_ref()
+            .filter(|(shape, _)| shape.same_shape(sweep))
+            .map(|(_, plan)| Arc::clone(plan));
+        if let Some(plan) = hit {
+            return Ok(SweepPlan::clone(&plan));
+        }
+        let plan = sweep.enumerate()?;
+        // Build the keys before publishing, so every clone shares them
+        // instead of building its own.
+        plan.keys();
+        let published = Arc::new(plan.clone());
+        let evicted = self.lock().replace((sweep.clone(), published));
+        // Freed after the guard is gone: a plan is never dropped under
+        // the lock.
+        drop(evicted);
+        Ok(plan)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::DesignSweep;
+    use tdc_units::Efficiency;
 
     #[test]
     fn plan_is_pure_and_indexed() {
@@ -203,5 +275,121 @@ mod tests {
         let mut points = plan.points().to_vec();
         points.swap(0, 1);
         let _ = SweepPlan::new(points);
+    }
+
+    // The memo tests below use their own `PlanMemo`: the process-wide
+    // one is shared with every other test in this binary, which may
+    // replace its plan at any moment. `crates/cli/tests/plan_memo_cli.rs`
+    // covers the process-wide path in a process of its own.
+
+    fn sweep(gates: f64) -> DesignSweep {
+        DesignSweep::new(gates)
+            .nodes(vec![ProcessNode::N7, ProcessNode::N5])
+            .tier_counts(vec![2, 3])
+    }
+
+    /// Every point's design and the key array are the same
+    /// allocations in both plans.
+    fn assert_shared(a: &SweepPlan, b: &SweepPlan) {
+        assert!(Arc::ptr_eq(a.keys(), b.keys()));
+        assert_eq!(a.len(), b.len());
+        for (p, q) in a.points().iter().zip(b.points()) {
+            assert!(Arc::ptr_eq(p.design(), q.design()), "{}", p.label());
+        }
+    }
+
+    fn assert_same_as_uncached(plan: &SweepPlan, sweep: &DesignSweep) {
+        let reference = sweep.enumerate().unwrap();
+        // `Debug` shows the built keys too, so build the reference's.
+        reference.keys();
+        assert_eq!(*plan, reference);
+        assert_eq!(format!("{plan:?}"), format!("{reference:?}"));
+    }
+
+    #[test]
+    fn equal_sweeps_share_one_plan_with_built_keys() {
+        let memo = PlanMemo::new();
+        let a = memo.plan(&sweep(9.0e9)).unwrap();
+        // Published with its keys already built.
+        assert!(a.keys.get().is_some());
+        let b = memo.plan(&sweep(9.0e9)).unwrap();
+        assert_shared(&a, &b);
+        assert_same_as_uncached(&b, &sweep(9.0e9));
+    }
+
+    #[test]
+    fn a_one_ulp_gate_count_change_gets_its_own_plan() {
+        let gates = 9.0e9_f64;
+        let next = f64::from_bits(gates.to_bits() + 1);
+        let memo = PlanMemo::new();
+        let a = memo.plan(&sweep(gates)).unwrap();
+        let b = memo.plan(&sweep(next)).unwrap();
+        assert_ne!(a, b);
+        assert!(!Arc::ptr_eq(a.keys(), b.keys()));
+        assert_same_as_uncached(&b, &sweep(next));
+        // Signed zeros differ by bit pattern, so they never share.
+        let zero = |z: f64| sweep(gates).efficiency(Efficiency::from_tops_per_watt(z));
+        assert!(!zero(0.0).same_shape(&zero(-0.0)));
+        assert!(zero(0.0).same_shape(&zero(0.0)));
+    }
+
+    #[test]
+    fn alternating_shapes_replan_to_the_uncached_plans() {
+        let memo = PlanMemo::new();
+        let (a, b) = (sweep(9.0e9), sweep(4.0e9).tiers(4));
+        let first = memo.plan(&a).unwrap();
+        assert_same_as_uncached(&first, &a);
+        assert_same_as_uncached(&memo.plan(&b).unwrap(), &b);
+        let again = memo.plan(&a).unwrap();
+        assert_same_as_uncached(&again, &a);
+        // B took the one slot, so A was enumerated afresh.
+        assert!(!Arc::ptr_eq(first.keys(), again.keys()));
+    }
+
+    #[test]
+    fn failed_plans_are_not_memoized() {
+        let memo = PlanMemo::new();
+        let good = memo.plan(&sweep(9.0e9)).unwrap();
+        // A negative efficiency fails die validation on every point.
+        let bad = sweep(9.0e9).efficiency(Efficiency::from_tops_per_watt(-1.0));
+        let err = memo.plan(&bad).unwrap_err();
+        assert_eq!(err, bad.enumerate().unwrap_err());
+        assert_eq!(memo.plan(&bad).unwrap_err(), err);
+        // The slot still holds the last successful plan.
+        assert_shared(&good, &memo.plan(&sweep(9.0e9)).unwrap());
+    }
+
+    #[test]
+    fn a_poisoned_slot_keeps_serving_plans() {
+        let memo = PlanMemo::new();
+        let a = memo.plan(&sweep(9.0e9)).unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = memo.slot.lock();
+                panic!("poison the plan memo");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(memo.slot.is_poisoned());
+        assert_shared(&a, &memo.plan(&sweep(9.0e9)).unwrap());
+        assert_same_as_uncached(&memo.plan(&sweep(4.0e9)).unwrap(), &sweep(4.0e9));
+    }
+
+    #[test]
+    fn concurrent_callers_alternating_two_shapes_get_correct_plans() {
+        let memo = PlanMemo::new();
+        let shapes = [sweep(9.0e9), sweep(4.0e9).tiers(4)];
+        let references = shapes.each_ref().map(|s| s.enumerate().unwrap());
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (memo, shapes, references) = (&memo, &shapes, &references);
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let k = (t + i) % 2;
+                        assert_eq!(memo.plan(&shapes[k]).unwrap(), references[k]);
+                    }
+                });
+            }
+        });
     }
 }
